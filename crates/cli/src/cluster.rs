@@ -42,8 +42,41 @@ use streamfreq_core::persist::MAX_SHIP_CHUNK;
 use streamfreq_core::{ErrorType, FreqSketch, PurgePolicy, SketchEngine};
 use streamfreq_workloads::load_binary;
 
-use crate::serve::{connect_with_retry, opcode, BINARY_MAGIC};
+use crate::serve::{opcode, BINARY_MAGIC};
 use crate::CliError;
+
+/// Connects to `addr` with a connect timeout, retrying failed
+/// *connection attempts* up to `retries` extra times with doubling
+/// backoff (50 ms, 100 ms, … capped at 1 s). Only establishment is
+/// retried — once connected, a request is sent at most once, so a
+/// timeout mid-exchange can never double-apply an `INGEST`. The
+/// read/write timeouts are installed on the returned stream.
+pub(crate) fn connect_with_retry(
+    addr: &SocketAddr,
+    timeout: Duration,
+    retries: u32,
+) -> std::io::Result<TcpStream> {
+    let mut backoff = Duration::from_millis(50);
+    let mut attempt = 0u32;
+    loop {
+        match TcpStream::connect_timeout(addr, timeout) {
+            Ok(stream) => {
+                // Requests are small frames answered one at a time;
+                // Nagle would hold each one for the previous reply's ACK.
+                stream.set_nodelay(true)?;
+                stream.set_read_timeout(Some(timeout))?;
+                stream.set_write_timeout(Some(timeout))?;
+                return Ok(stream);
+            }
+            Err(e) if attempt >= retries => return Err(e),
+            Err(_) => {
+                std::thread::sleep(backoff);
+                backoff = (backoff * 2).min(Duration::from_secs(1));
+                attempt += 1;
+            }
+        }
+    }
+}
 
 /// Default `INGEST` batch size for `cluster-ingest`.
 pub const DEFAULT_INGEST_BATCH: usize = 4096;

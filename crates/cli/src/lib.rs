@@ -2,7 +2,7 @@
 //! parsing, command execution, and report formatting, factored into a
 //! library so the test suite can drive it without spawning processes.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

@@ -8,9 +8,25 @@
 //! bytes the client sends. A connection opening with the magic `SFBP`
 //! speaks the **pipelined binary protocol**; anything else falls back
 //! to the original **newline text protocol** (what the CLI e2e tests
-//! and `nc` use). Both are served by a single poll-based event loop —
-//! no thread per connection — so thousands of pipelined requests in one
-//! read are answered with one write.
+//! and `nc` use). Both are served by a single event loop — no thread
+//! per connection — so thousands of pipelined requests in one read are
+//! answered with one write.
+//!
+//! ## Event loop
+//!
+//! Each turn accepts pending connections, then pumps every connection
+//! once: write what is queued, read up to a quantum, answer every
+//! complete request. A turn that moves no bytes blocks in `poll(2)` on
+//! the listener and every open connection until one is ready, bounded
+//! by a 100 ms guard. A connection asks for readability only while it
+//! would read on its next turn (`Conn::wants_read`, the same test that
+//! gates the read itself), and for writability only while replies are
+//! queued, so a client that stops reading, or half-closes with replies
+//! pending, parks the loop instead of spinning it. An answer therefore
+//! leaves as soon as its request arrives, with no sleep between them.
+//!
+//! A text-protocol line longer than 4 KiB gets an `ERR` reply and
+//! closes its connection.
 //!
 //! ### Text protocol
 //!
@@ -70,6 +86,8 @@
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::os::raw::{c_int, c_short, c_ulong};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -82,10 +100,19 @@ use streamfreq_core::{
 };
 use streamfreq_workloads::load_binary;
 
+use crate::cluster::connect_with_retry;
 use crate::CliError;
 
-/// How long the event loop sleeps when no connection had bytes to move.
-const POLL_INTERVAL: Duration = Duration::from_millis(1);
+/// Upper bound on one idle `poll(2)` wait, in milliseconds. Every
+/// event that can end a wait (a connection, a request, a drained socket
+/// buffer) wakes the poll itself; the bound only guards against a wake
+/// the interest set does not cover.
+const IDLE_WAIT_MS: c_int = 100;
+
+/// Longest text-protocol request line, in bytes. Real requests are a
+/// few dozen bytes; a longer line gets `ERR` and a close, so a client
+/// that never sends a newline cannot grow the read buffer without bound.
+const MAX_TEXT_LINE: usize = 4 << 10;
 
 /// Upper bound on `TOPK n` so a typo cannot ask for a gigabyte of rows.
 const MAX_TOPK: usize = 100_000;
@@ -178,7 +205,7 @@ struct ServeCtx {
     data_dir: Option<PathBuf>,
     /// Wire-ingest writer, present only in cluster-node mode (no
     /// `--input`). Taken (dropped) after the event loop exits so the
-    /// ingest thread's `drain()` can join the shard workers.
+    /// bank's `drain()` can join the shard workers.
     writer: Mutex<Option<ConcurrentWriter<u64>>>,
 }
 
@@ -262,36 +289,32 @@ pub fn run_serve(opts: &ServeOptions) -> Result<String, CliError> {
     // Ingestion runs beside the event loop; queries observe its
     // progress through snapshots. QUIT aborts between passes. In node
     // mode (no input file) updates arrive through the event loop's
-    // `INGEST` handler instead, so this thread only parks until stop
-    // and then drains the bank for the final sealed snapshot.
-    let ingest = {
-        let stop = Arc::clone(&stop);
-        let passes = opts.passes.max(1);
-        std::thread::spawn(move || {
-            let mut sketch = sketch;
-            match stream {
-                Some(stream) => {
-                    for _ in 0..passes {
-                        if stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        sketch.ingest_slice_parallel(&stream, threads);
+    // `INGEST` handler instead, and the bank stays on this thread until
+    // the loop ends.
+    let (ingest, mut node_sketch) = match stream {
+        Some(stream) => {
+            let stop = Arc::clone(&stop);
+            let passes = opts.passes.max(1);
+            let handle = std::thread::spawn(move || {
+                let mut sketch = sketch;
+                for _ in 0..passes {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
                     }
+                    sketch.ingest_slice_parallel(&stream, threads);
                 }
-                None => {
-                    while !stop.load(Ordering::SeqCst) {
-                        std::thread::sleep(POLL_INTERVAL);
-                    }
-                }
-            }
-            sketch.drain();
-        })
+                sketch.drain();
+            });
+            (Some(handle), None)
+        }
+        None => (None, Some(sketch)),
     };
 
     let mut connections: u64 = 0;
     let mut conns: Vec<Conn> = Vec::new();
     let mut scratch = vec![0u8; 64 << 10];
-    let mut accept_error: Option<CliError> = None;
+    let mut pollfds: Vec<PollFd> = Vec::new();
+    let mut loop_error: Option<CliError> = None;
     while !stop.load(Ordering::SeqCst) {
         let mut active = false;
         loop {
@@ -311,7 +334,7 @@ pub fn run_serve(opts: &ServeOptions) -> Result<String, CliError> {
                     // down gracefully: stop the loop and the ingest
                     // thread before surfacing the error, or they would
                     // outlive this call.
-                    accept_error = Some(CliError::Net(addr.to_string(), e));
+                    loop_error = Some(CliError::Net(addr.to_string(), e));
                     stop.store(true, Ordering::SeqCst);
                     break;
                 }
@@ -321,8 +344,11 @@ pub fn run_serve(opts: &ServeOptions) -> Result<String, CliError> {
             active |= conn.pump(&ctx, &mut scratch);
         }
         conns.retain(|c| !c.closed);
-        if !active {
-            std::thread::sleep(POLL_INTERVAL);
+        if !active && !stop.load(Ordering::SeqCst) {
+            if let Err(e) = wait_ready(&listener, &conns, &mut pollfds) {
+                loop_error = Some(CliError::Net(addr.to_string(), e));
+                stop.store(true, Ordering::SeqCst);
+            }
         }
     }
     // Final flush so the `OK bye` (and any other queued replies) land
@@ -332,10 +358,15 @@ pub fn run_serve(opts: &ServeOptions) -> Result<String, CliError> {
     }
     drop(conns);
     // The wire writer holds shard-channel senders; it must drop before
-    // the ingest thread's drain() can join the shard workers.
+    // drain() can join the shard workers.
     ctx.writer.lock().expect("writer mutex poisoned").take();
-    ingest.join().expect("ingest thread panicked");
-    if let Some(error) = accept_error {
+    if let Some(ingest) = ingest {
+        ingest.join().expect("ingest thread panicked");
+    }
+    if let Some(sketch) = &mut node_sketch {
+        sketch.drain();
+    }
+    if let Some(error) = loop_error {
         return Err(error);
     }
 
@@ -387,6 +418,9 @@ struct Conn {
     /// Flush the remaining `wbuf` and close (QUIT or protocol error).
     close_after_flush: bool,
     closed: bool,
+    /// Text mode: length of the `rbuf` prefix already searched for a
+    /// newline without finding one.
+    scanned: usize,
 }
 
 impl Conn {
@@ -400,7 +434,16 @@ impl Conn {
             eof: false,
             close_after_flush: false,
             closed: false,
+            scanned: 0,
         }
+    }
+
+    /// Whether the next turn reads from the socket: the peer has more
+    /// to send, no close is pending, and the peer is draining replies.
+    /// Both `pump` and the idle wait's interest set use this, so the
+    /// loop never waits for input it would not read.
+    fn wants_read(&self) -> bool {
+        !self.eof && !self.close_after_flush && self.pending_write() < WRITE_HIGH_WATER
     }
 
     /// One event-loop turn: write what is pending, read what arrived,
@@ -414,7 +457,7 @@ impl Conn {
             return active;
         }
         // Read up to a quantum, unless the peer is not draining replies.
-        if !self.eof && !self.close_after_flush && self.pending_write() < WRITE_HIGH_WATER {
+        if self.wants_read() {
             let mut read = 0usize;
             while read < READ_QUANTUM {
                 match self.stream.read(scratch) {
@@ -519,9 +562,17 @@ impl Conn {
 
     fn process_text(&mut self, ctx: &ServeCtx) {
         let mut consumed = 0usize;
-        while let Some(nl) = self.rbuf[consumed..].iter().position(|&b| b == b'\n') {
-            let line = String::from_utf8_lossy(&self.rbuf[consumed..consumed + nl]).into_owned();
-            consumed += nl + 1;
+        // Only bytes that arrived since the last turn are searched.
+        let mut scan_from = self.scanned;
+        while let Some(nl) = self.rbuf[scan_from..].iter().position(|&b| b == b'\n') {
+            let end = scan_from + nl;
+            if end - consumed > MAX_TEXT_LINE {
+                self.reject_long_line();
+                return;
+            }
+            let line = String::from_utf8_lossy(&self.rbuf[consumed..end]).into_owned();
+            consumed = end + 1;
+            scan_from = consumed;
             let (reply, quit) = handle_request(line.trim(), ctx);
             self.wbuf.extend_from_slice(reply.as_bytes());
             if quit {
@@ -529,6 +580,10 @@ impl Conn {
                 self.close_after_flush = true;
                 break;
             }
+        }
+        if !self.close_after_flush && self.rbuf.len() - consumed > MAX_TEXT_LINE {
+            self.reject_long_line();
+            return;
         }
         // At EOF a trailing unterminated line still counts as a request
         // (parity with a client that forgot the final newline).
@@ -545,6 +600,18 @@ impl Conn {
             }
         }
         self.rbuf.drain(..consumed);
+        self.scanned = self.rbuf.len();
+    }
+
+    /// Answers a text line over [`MAX_TEXT_LINE`] with `ERR` and closes
+    /// the connection once the reply is flushed.
+    fn reject_long_line(&mut self) {
+        self.wbuf.extend_from_slice(
+            format!("ERR request line longer than {MAX_TEXT_LINE} bytes\n").as_bytes(),
+        );
+        self.rbuf.clear();
+        self.scanned = 0;
+        self.close_after_flush = true;
     }
 
     fn process_binary(&mut self, ctx: &ServeCtx) {
@@ -571,6 +638,67 @@ impl Conn {
         }
         self.rbuf.drain(..consumed);
     }
+}
+
+/// `struct pollfd` from `<poll.h>`.
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
+/// `poll(2)` event bits; the same values on every Unix.
+const POLLIN: c_short = 0x001;
+const POLLOUT: c_short = 0x004;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+}
+
+/// Blocks until the listener has a connection to accept or a connection
+/// is ready for what its next `pump` would do, or until [`IDLE_WAIT_MS`]
+/// passes. `fds` is scratch reused across turns. An interrupted wait
+/// (`EINTR`) returns `Ok` like a timeout: the caller just runs an idle
+/// turn.
+fn wait_ready(
+    listener: &TcpListener,
+    conns: &[Conn],
+    fds: &mut Vec<PollFd>,
+) -> std::io::Result<()> {
+    fds.clear();
+    fds.push(PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    });
+    for conn in conns {
+        let mut events = 0;
+        if conn.wants_read() {
+            events |= POLLIN;
+        }
+        if conn.pending_write() > 0 {
+            events |= POLLOUT;
+        }
+        fds.push(PollFd {
+            fd: conn.stream.as_raw_fd(),
+            events,
+            revents: 0,
+        });
+    }
+    // SAFETY: `fds` is a live, exclusively borrowed buffer of exactly
+    // `fds.len()` `#[repr(C)]` pollfd records, so the kernel reads and
+    // writes only inside it; every fd belongs to a socket that `listener`
+    // or `conns` keeps open for the whole call.
+    #[allow(unsafe_code)]
+    let ready = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, IDLE_WAIT_MS) };
+    if ready < 0 {
+        let err = std::io::Error::last_os_error();
+        if err.kind() != ErrorKind::Interrupted {
+            return Err(err);
+        }
+    }
+    Ok(())
 }
 
 /// Appends a response frame: `[len u32le | status | payload]`, where
@@ -1000,36 +1128,6 @@ fn format_binary_response(command: &str, status: u8, payload: &[u8]) -> String {
         _ => None,
     };
     rendered.unwrap_or_else(|| "ERR malformed response payload\n".into())
-}
-
-/// Connects to `addr` with a connect timeout, retrying failed
-/// *connection attempts* up to `retries` extra times with doubling
-/// backoff (50 ms, 100 ms, … capped at 1 s). Only establishment is
-/// retried — once connected, a request is sent at most once, so a
-/// timeout mid-exchange can never double-apply an `INGEST`. The
-/// read/write timeouts are installed on the returned stream.
-pub(crate) fn connect_with_retry(
-    addr: &SocketAddr,
-    timeout: Duration,
-    retries: u32,
-) -> std::io::Result<TcpStream> {
-    let mut backoff = Duration::from_millis(50);
-    let mut attempt = 0u32;
-    loop {
-        match TcpStream::connect_timeout(addr, timeout) {
-            Ok(stream) => {
-                stream.set_read_timeout(Some(timeout))?;
-                stream.set_write_timeout(Some(timeout))?;
-                return Ok(stream);
-            }
-            Err(e) if attempt >= retries => return Err(e),
-            Err(_) => {
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(Duration::from_secs(1));
-                attempt += 1;
-            }
-        }
-    }
 }
 
 /// The default `query-remote` connect/read/write timeout.

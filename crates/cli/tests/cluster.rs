@@ -59,7 +59,11 @@ fn synth_stream(len: usize, salt: u64) -> Vec<(u64, u64)> {
             x = x
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1_442_695_040_888_963_407);
-            let item = if x.is_multiple_of(4) { x % 8 } else { (x >> 8) % 4096 };
+            let item = if x.is_multiple_of(4) {
+                x % 8
+            } else {
+                (x >> 8) % 4096
+            };
             let weight = (x >> 32) % 100 + 1;
             (item, weight)
         })
