@@ -23,8 +23,8 @@
 //! build and run end to end.
 //!
 //! `--profile` runs only the batch-mode Zipf ingest with the engine's
-//! per-phase timers enabled and prints where the seconds go (aggregation
-//! / probe / purge / grow), so a throughput regression localizes without
+//! per-phase timers enabled and prints where the seconds go (probe /
+//! purge / grow), so a throughput regression localizes without
 //! an external profiler.
 
 #![forbid(unsafe_code)]
@@ -177,13 +177,13 @@ fn main() {
 }
 
 /// `--smoke` CI tripwire over the pipeline panel: the unsharded modes
-/// must agree on every answer (the batch kernel and the generic engine
+/// must agree on every answer (the batch sweep and the generic engine
 /// are pinned state-identical to the scalar path, so a checksum drift
 /// is a correctness bug, not noise), and the batch path must not be
 /// catastrophically slower than scalar. The rate bound is deliberately
 /// loose (0.5×) because shared CI runners easily show 2× timing noise
 /// at smoke scale — it exists to catch an accidental O(n²) or a
-/// disabled kernel, not to benchmark.
+/// disabled batch path, not to benchmark.
 fn smoke_tripwire(results: &[IngestResult]) {
     let mut workloads: Vec<&str> = results.iter().map(|r| r.workload.as_str()).collect();
     workloads.dedup();
@@ -223,7 +223,6 @@ fn profile_breakdown(updates: usize, ks: &[usize]) {
     print_header(&[
         "k",
         "total_s",
-        "aggregate_s",
         "probe_s",
         "purge_s",
         "grow_s",
@@ -238,8 +237,8 @@ fn profile_breakdown(updates: usize, ks: &[usize]) {
             .build()
             .expect("invalid k");
         s.engine_mut().enable_ingest_profile();
-        // Warm up on a prefix so every scratch buffer (batch staging,
-        // aggregation, dedup cache, purge sampler, compaction) reaches
+        // Warm up on a prefix so every scratch buffer (rehash pairs,
+        // purge sampler, compaction) reaches
         // its steady-state capacity, then require the rest of the run
         // to allocate nothing: steady-state ingest is O(1)-alloc. The
         // purge-path buffers only exist once the table first fills, so
@@ -256,36 +255,35 @@ fn profile_breakdown(updates: usize, ks: &[usize]) {
         let start = std::time::Instant::now();
         s.update_batch(&zipf[warmup..]);
         let total = start.elapsed().as_secs_f64();
-        // The per-batch buffers (staging, aggregation, hashes, dedup
-        // cache, purge sampler) must be exactly stable — the hot path
+        // The per-batch buffers (rehash pairs, purge sampler) must be
+        // exactly stable — the hot path
         // allocates nothing after warmup. The purge compaction gap
         // buffer is amortized instead: it doubles geometrically toward
         // the worst gap count actually seen, so it may still take a
         // final doubling after warmup, but can never pass table length.
         let caps = s.engine().ingest_scratch_capacities();
         assert_eq!(
-            caps[..5],
-            caps_after_warmup[..5],
+            caps[..2],
+            caps_after_warmup[..2],
             "steady-state ingest reallocated per-batch scratch (k = {k})"
         );
         assert!(
-            caps[5] <= s.num_counters().next_power_of_two() * 2,
+            caps[2] <= s.num_counters().next_power_of_two() * 2,
             "compaction scratch outgrew the table (k = {k}, cap {})",
-            caps[5]
+            caps[2]
         );
         let p = s
             .engine_mut()
             .take_ingest_profile()
             .expect("profiling enabled above");
-        let (agg, probe, purge, grow) = (
-            p.aggregate.as_secs_f64(),
+        let (probe, purge, grow) = (
             p.probe.as_secs_f64(),
             p.purge.as_secs_f64(),
             p.grow.as_secs_f64(),
         );
         println!(
-            "{k}\t{total:.3}\t{agg:.3}\t{probe:.3}\t{purge:.3}\t{grow:.3}\t{:.3}\t{:.3e}",
-            (total - agg - probe - purge - grow).max(0.0),
+            "{k}\t{total:.3}\t{probe:.3}\t{purge:.3}\t{grow:.3}\t{:.3}\t{:.3e}",
+            (total - probe - purge - grow).max(0.0),
             (zipf.len() - warmup) as f64 / total
         );
     }

@@ -18,8 +18,9 @@
 //!     [--updates N] [--epochs E] [--json PATH] [--smoke]
 //! ```
 //!
-//! `--smoke` shrinks to one small configuration with a single
-//! repetition — the CI guard that the temporal binaries still run.
+//! `--smoke` shrinks to one small configuration — the CI guard that the
+//! temporal binaries still run — and gates the batch paths against the
+//! scalar control measured in the same run (see [`smoke_gate`]).
 
 #![forbid(unsafe_code)]
 
@@ -132,8 +133,8 @@ fn run_mode(
         "freq_oneshot" => {
             // Context row: the whole stream in a single `update_batch`
             // call — the ceiling the engine reaches when a caller can
-            // hand it arbitrarily large batches (bigger in-batch
-            // aggregation windows, fewer per-call fixed costs).
+            // hand it arbitrarily large batches (fewer per-call fixed
+            // costs).
             let mut s = FreqSketch::builder(k).build().expect("invalid k");
             let start = Instant::now();
             s.update_batch(batch);
@@ -230,8 +231,10 @@ fn main() {
         .and_then(|p| args.get(p + 1))
         .cloned()
         .unwrap_or_else(|| "BENCH_temporal.json".to_string());
+    // Smoke keeps the median of three: the gate compares rates from
+    // runs of a few milliseconds each, where one run is too noisy.
     let (ks, reps): (Vec<usize>, usize) = if smoke {
-        (vec![4_096], 1)
+        (vec![4_096], TEMPORAL_REPS)
     } else {
         (TEMPORAL_KS.to_vec(), TEMPORAL_REPS)
     };
@@ -289,4 +292,40 @@ fn main() {
         Ok(()) => eprintln!("wrote {json_path}"),
         Err(e) => eprintln!("could not write {json_path}: {e}"),
     }
+
+    if smoke {
+        smoke_gate(&results);
+    }
+}
+
+/// Smallest allowed `batch / decayed_scalar` rate ratio under `--smoke`.
+const SMOKE_MIN_BATCH_VS_SCALAR: f64 = 0.9;
+
+/// `--smoke` gate: `freq_batch` and `decayed_batch` must each run at no
+/// less than [`SMOKE_MIN_BATCH_VS_SCALAR`] of `decayed_scalar`, measured
+/// in the same run. The scalar control pays the decay sweeps the
+/// `freq_batch` row skips, so a batch path slower than it means the
+/// batch ingest itself has regressed — the failure a slower second
+/// batch path once caused without any check noticing.
+fn smoke_gate(results: &[TemporalResult]) {
+    let rate = |mode: &str| {
+        results
+            .iter()
+            .find(|r| r.mode == mode)
+            .unwrap_or_else(|| panic!("missing {mode} row"))
+            .updates_per_sec
+    };
+    let scalar = rate("decayed_scalar");
+    for mode in ["freq_batch", "decayed_batch"] {
+        let r = rate(mode);
+        assert!(
+            r >= SMOKE_MIN_BATCH_VS_SCALAR * scalar,
+            "{mode} runs at {:.2}x of decayed_scalar ({r:.3e}/s vs {scalar:.3e}/s), \
+             below the {SMOKE_MIN_BATCH_VS_SCALAR}x gate",
+            r / scalar
+        );
+    }
+    eprintln!(
+        "smoke gate passed: batch paths at least {SMOKE_MIN_BATCH_VS_SCALAR}x decayed_scalar"
+    );
 }

@@ -53,30 +53,12 @@ pub trait SketchKey: Clone + Eq + Default {
     /// The key's stable 64-bit hash; the table probes with its low bits
     /// and shard routing uses its high bits.
     fn hash_key(&self) -> u64;
-
-    /// Views a slice of keys as raw `u64` words when the key type is
-    /// `u64` (the paper's layout), `None` otherwise. Forwarded from
-    /// [`Hash64::keys_as_u64`]; the ingest kernel uses it to select the
-    /// wide (unrolled / SIMD) slot-scan without unsafe transmutes.
-    #[inline]
-    fn key_slice_as_u64(keys: &[Self]) -> Option<&[u64]>
-    where
-        Self: Sized,
-    {
-        let _ = keys;
-        None
-    }
 }
 
 impl<T: Hash64 + Clone + Eq + Default> SketchKey for T {
     #[inline]
     fn hash_key(&self) -> u64 {
         self.hash64()
-    }
-
-    #[inline]
-    fn key_slice_as_u64(keys: &[Self]) -> Option<&[u64]> {
-        T::keys_as_u64(keys)
     }
 }
 
@@ -91,47 +73,6 @@ const LG_MIN_TABLE: u32 = 3;
 /// `L ≈ 4k/3` sizing of §2.3.3.
 const LOAD_NUM: usize = 3;
 const LOAD_DEN: usize = 4;
-
-/// Upper bound on one batch chunk, bounding transient scratch work per
-/// capacity check regardless of `k`.
-const MAX_CHUNK: usize = 1 << 20;
-
-/// Upper bound on one aggregation pass: sized so the aggregation
-/// scratch (entries + hashes, ≤ 24 bytes each) stays cache-resident —
-/// the kernel re-reads every surviving entry right after the pass, and
-/// a DRAM round-trip for the scratch would cost more than the
-/// deduplication saves.
-const AGG_CHUNK: usize = 1 << 14;
-
-/// Aggregation pays for itself only when it removes at least this
-/// fraction of the pairs (one dedup-cache probe + scratch copy per pair
-/// vs one table probe saved per duplicate). Below it, the engine
-/// bypasses aggregation and streams pairs straight into the kernel.
-const AGG_MIN_DUP_NUM: usize = 1;
-const AGG_MIN_DUP_DEN: usize = 8;
-
-/// While bypassing, re-run one aggregation pass every this many direct
-/// sub-chunks to re-measure the duplicate ratio (streams change phase).
-const AGG_REPROBE_EVERY: u32 = 64;
-
-/// Updates accumulated (possibly across many small aggregation passes —
-/// callers like the temporal layer feed per-tick runs of ~100 pairs)
-/// before the duplicate ratio is considered measured and the dispatch
-/// decision is re-taken. Single small passes are far too noisy to steer
-/// on.
-const AGG_DECIDE_FLOOR: u64 = 4096;
-
-/// Why an aggregation pass stopped before consuming its whole input.
-enum AggStop {
-    /// Everything consumed.
-    Done,
-    /// Next weight exceeds `i64::MAX`: apply the prefix, then panic with
-    /// the scalar path's message.
-    Oversized(u64),
-    /// Next weight cannot be forward-inflated by the pending decay scale
-    /// without overflowing: apply the prefix, materialize, retry.
-    Inflate,
-}
 
 /// Cap on the pending lazy-decay scale factor `d^p`: beyond this the
 /// pending ticks are settled into the table eagerly. 2³¹ leaves every
@@ -181,29 +122,6 @@ pub struct SketchEngine<K: SketchKey> {
     pub(crate) num_purges: u64,
     pub(crate) scratch: Vec<i64>,
     pub(crate) pair_scratch: Vec<(K, i64)>,
-    /// In-batch aggregation scratch: unique keys of the current ingest
-    /// chunk with their combined (inflation-scaled) deltas, in
-    /// first-occurrence order.
-    agg_scratch: Vec<(K, i64)>,
-    /// Hashes of `agg_scratch` entries (parallel vector): aggregation
-    /// already hashes every key for its dedup cache, and the kernel
-    /// derives home slots from the same hash — keys are hashed once per
-    /// ingested pair, not twice.
-    hash_scratch: Vec<u64>,
-    /// Direct-mapped dedup cache over `agg_scratch`: maps a key-hash slot
-    /// to the candidate entry index, `u32::MAX` = vacant.
-    dedup_cache: Vec<u32>,
-    /// True while the measured in-chunk duplicate ratio is too low for
-    /// aggregation to pay (the ingest then streams pairs straight into
-    /// the kernel); re-measured every [`AGG_REPROBE_EVERY`] sub-chunks.
-    agg_bypass: bool,
-    /// Direct sub-chunks left before the next aggregation re-measure.
-    agg_reprobe_in: u32,
-    /// Updates and unique entries accumulated by aggregation passes
-    /// since the last dispatch decision; the ratio is only trusted (and
-    /// the pair reset) once the update side reaches [`AGG_DECIDE_FLOOR`].
-    agg_applied_win: u64,
-    agg_entries_win: u64,
     /// Lazy-decay denominator `d` (λ = 1/d); 0 while lazy fading has
     /// never been activated on this engine.
     lazy_den: u64,
@@ -227,9 +145,12 @@ pub struct SketchEngine<K: SketchKey> {
 /// seconds go, without an external profiler.
 #[derive(Clone, Debug, Default)]
 pub struct IngestProfile {
-    /// In-batch aggregation (dedup + weight combining) time.
+    /// Always zero: the engine no longer aggregates a batch before
+    /// probing. Kept so existing readers of the profile still build,
+    /// until a metrics registry replaces `IngestProfile`.
     pub aggregate: std::time::Duration,
-    /// Multi-lane probe/commit (table kernel) time.
+    /// Batch sweep time: hashing, prefetching and the in-order upserts
+    /// of `update_batch` ([`LpTable::adjust_or_insert_batch_weighted`]).
     pub probe: std::time::Duration,
     /// Purge (DecrementCounters) time, including `c*` selection.
     pub purge: std::time::Duration,
@@ -323,13 +244,6 @@ impl<K: SketchKey> SketchEngineBuilder<K> {
             num_purges: 0,
             scratch: Vec::new(),
             pair_scratch: Vec::new(),
-            agg_scratch: Vec::new(),
-            hash_scratch: Vec::new(),
-            dedup_cache: Vec::new(),
-            agg_bypass: false,
-            agg_reprobe_in: 0,
-            agg_applied_win: 0,
-            agg_entries_win: 0,
             lazy_den: 0,
             lazy_pow: 1,
             lazy_ticks: 0,
@@ -506,13 +420,15 @@ impl<K: SketchKey> SketchEngine<K> {
     }
 
     /// Processes a slice of weighted updates, **state-identically** to
-    /// calling [`Self::update`] on each pair in order, but substantially
-    /// faster on large tables:
+    /// calling [`Self::update`] on each pair in order, but faster: each
+    /// chunk runs through one prefetched sweep
+    /// ([`LpTable::adjust_or_insert_batch_weighted`]), the only batch
+    /// ingest path for every key type:
     ///
     /// * probe homes are precomputed a chunk at a time and the table
-    ///   slots software-prefetched ahead of the probe cursor
-    ///   ([`LpTable::adjust_or_insert_batch`]), hiding DRAM latency that
-    ///   dominates once the table outgrows L2;
+    ///   slots software-prefetched ahead of the probe cursor, hiding DRAM
+    ///   latency once the table outgrows L2, while the pairs themselves
+    ///   are applied in order through the scalar probe loop;
     /// * the `stream_weight` / `num_updates` bookkeeping is folded into
     ///   one accumulation per chunk instead of one per update.
     ///
@@ -535,7 +451,7 @@ impl<K: SketchKey> SketchEngine<K> {
                 self.update(item, weight);
                 continue;
             }
-            let take = headroom.min(rest.len()).min(MAX_CHUNK);
+            let take = headroom.min(rest.len());
             let (chunk, tail) = rest.split_at(take);
             rest = tail;
             // Within-chunk inserts cannot exceed capacity (chunk size is
@@ -548,177 +464,36 @@ impl<K: SketchKey> SketchEngine<K> {
         self.debug_audit();
     }
 
-    /// Ingests one headroom-bounded chunk through the aggregating kernel
-    /// (u64 keys, or any key type under pending lazy decay) or the legacy
-    /// zero-copy weighted pass (other key types — aggregation would clone
-    /// every unique heap-backed key for no probe-width win).
-    fn ingest_chunk(&mut self, chunk: &[(K, u64)]) {
-        let wide = K::key_slice_as_u64(&[]).is_some();
-        if !wide && self.lazy_den == 0 {
+    /// Ingests one headroom-bounded chunk in one prefetched sweep
+    /// ([`LpTable::adjust_or_insert_batch_weighted`]). Under lazy decay
+    /// the deltas join inflated by the pending scale and the sweep
+    /// tracks the stored maximum. A pair the sweep cannot apply at the
+    /// current scale goes through the scalar [`Self::update`], which
+    /// panics with its own message (a weight above `i64::MAX`) or settles
+    /// the pending decay first; the rest of the chunk then resumes.
+    fn ingest_chunk(&mut self, mut chunk: &[(K, u64)]) {
+        loop {
             let t = self.profile_start();
-            let (total, applied) = self.table.adjust_or_insert_batch_weighted(chunk);
+            let swept = if self.lazy_den == 0 {
+                self.table
+                    .adjust_or_insert_batch_weighted::<false>(chunk, 1)
+            } else {
+                self.table
+                    .adjust_or_insert_batch_weighted::<true>(chunk, self.lazy_pow as i64)
+            };
             self.profile_add(t, |p| &mut p.probe);
-            self.absorb_stream_weight(total);
-            self.num_updates += applied;
-            return;
+            if self.lazy_den != 0 && swept.max_value > self.max_stored {
+                self.max_stored = swept.max_value;
+            }
+            self.absorb_stream_weight(swept.total);
+            self.num_updates += swept.applied;
+            let Some((item, weight)) = chunk.get(swept.consumed) else {
+                return;
+            };
+            // Within the headroom, so the scalar step cannot purge or grow.
+            self.update(item.clone(), *weight);
+            chunk = &chunk[swept.consumed + 1..];
         }
-        let mut rest = chunk;
-        while !rest.is_empty() {
-            let take = rest.len().min(AGG_CHUNK);
-            // Low-duplication fast path: stream the pairs straight into
-            // the prefetched sequential sweep, skipping the aggregation
-            // copy that would not pay for itself. (The sequential sweep
-            // also beats the lane kernel here — see the
-            // `weighted_paths_bench` micro-benchmark — because
-            // undeduplicated probes are short and match-heavy, so the
-            // lane machinery is pure overhead.) Both paths produce
-            // identical state; the dispatch is invisible to everything
-            // but the clock.
-            // (Reaching this loop with `lazy_den == 0` implies a wide
-            // key — the generic non-lazy case returned above — so the
-            // plain arm below never clones heap-backed keys twice.)
-            if self.agg_bypass && self.agg_reprobe_in > 0 {
-                self.agg_reprobe_in -= 1;
-                let t = self.profile_start();
-                let (consumed, total, applied, max_value) = if self.lazy_den == 0 {
-                    let (total, applied) =
-                        self.table.adjust_or_insert_batch_weighted(&rest[..take]);
-                    (take, total, applied, i64::MIN)
-                } else {
-                    // Pending decay: deltas join inflated by `lazy_pow`
-                    // and the running max feeds the overflow guard —
-                    // same contract as the aggregated passes.
-                    self.table
-                        .adjust_or_insert_batch_weighted_scaled(&rest[..take], self.lazy_pow as i64)
-                };
-                self.profile_add(t, |p| &mut p.probe);
-                if max_value > self.max_stored {
-                    self.max_stored = max_value;
-                }
-                self.absorb_stream_weight(total);
-                self.num_updates += applied;
-                rest = &rest[consumed..];
-                if consumed < take {
-                    // Next weight is representable but not at the current
-                    // inflation scale; settle the pending decay and let
-                    // the loop retry the remainder at scale 1.
-                    self.materialize_decay();
-                }
-                continue;
-            }
-            let t = self.profile_start();
-            let (consumed, total, applied, stop) = self.aggregate_chunk(&rest[..take]);
-            self.profile_add(t, |p| &mut p.aggregate);
-            // Re-decide the bypass from the measured duplicate ratio.
-            // The measurement accumulates across passes until it covers
-            // AGG_DECIDE_FLOOR updates — callers like the temporal layer
-            // feed runs of ~100 pairs per tick, and no single pass that
-            // small is trustworthy.
-            self.agg_applied_win += applied;
-            self.agg_entries_win += self.agg_scratch.len() as u64;
-            if self.agg_applied_win >= AGG_DECIDE_FLOOR {
-                self.agg_bypass = self.agg_entries_win * AGG_MIN_DUP_DEN as u64
-                    > self.agg_applied_win * (AGG_MIN_DUP_DEN - AGG_MIN_DUP_NUM) as u64;
-                self.agg_reprobe_in = AGG_REPROBE_EVERY;
-                self.agg_applied_win = 0;
-                self.agg_entries_win = 0;
-            }
-            let t = self.profile_start();
-            let agg = core::mem::take(&mut self.agg_scratch);
-            let hashes = core::mem::take(&mut self.hash_scratch);
-            let track_max = self.lazy_den != 0;
-            let max_value = self
-                .table
-                .upsert_batch_kernel_hashed(&agg, &hashes, track_max);
-            self.agg_scratch = agg;
-            self.hash_scratch = hashes;
-            self.profile_add(t, |p| &mut p.probe);
-            if track_max && max_value > self.max_stored {
-                self.max_stored = max_value;
-            }
-            self.absorb_stream_weight(total);
-            self.num_updates += applied;
-            rest = &rest[consumed..];
-            match stop {
-                AggStop::Done => {}
-                AggStop::Oversized(w) => {
-                    // The valid prefix has been applied, exactly as the
-                    // scalar loop would before hitting the bad pair.
-                    panic!("update weight {w} exceeds supported range");
-                }
-                AggStop::Inflate => {
-                    // The next weight cannot be represented at the current
-                    // inflation scale; settle the pending decay (scale
-                    // becomes 1) and continue with the remainder.
-                    self.materialize_decay();
-                }
-            }
-        }
-    }
-
-    /// One aggregation pass over `pairs`: combines duplicate keys into
-    /// single entries of `agg_scratch` (first-occurrence order, deltas
-    /// pre-scaled by `lazy_pow`), stopping early at a pair that cannot be
-    /// applied. Returns `(pairs consumed, true weight applied, update
-    /// count applied, stop reason)`; the consumed count excludes the
-    /// offending pair on early stops.
-    ///
-    /// Duplicate runs whose combined scaled delta would overflow `i64`
-    /// are split into multiple entries at the overflow point (the kernel
-    /// applies them in order, so intermediate counter values saturate the
-    /// table's own overflow assertion exactly as sequential updates
-    /// would).
-    fn aggregate_chunk(&mut self, pairs: &[(K, u64)]) -> (usize, u128, u64, AggStop) {
-        /// Dedup cache entries are capped at 2^12 (16 KiB of u32) so the
-        /// cache itself stays L1-resident: every ingested pair probes it,
-        /// and hot keys recur often enough that a few thousand slots
-        /// catch nearly the same duplicate mass as a much larger cache —
-        /// without paying an L2 round-trip per pair.
-        const DEDUP_CACHE_MAX: usize = 1 << 12;
-        let scale = self.lazy_pow;
-        let cache_len = pairs.len().next_power_of_two().clamp(64, DEDUP_CACHE_MAX);
-        if self.dedup_cache.len() < cache_len {
-            self.dedup_cache.resize(cache_len, u32::MAX);
-        }
-        self.dedup_cache[..cache_len].fill(u32::MAX);
-        let cmask = (cache_len - 1) as u64;
-        self.agg_scratch.clear();
-        self.hash_scratch.clear();
-        let mut total: u128 = 0;
-        let mut applied: u64 = 0;
-        for (i, (key, weight)) in pairs.iter().enumerate() {
-            let w = *weight;
-            if w == 0 {
-                continue;
-            }
-            if w > i64::MAX as u64 {
-                return (i, total, applied, AggStop::Oversized(w));
-            }
-            if scale > 1 && w > (i64::MAX as u64) / scale {
-                return (i, total, applied, AggStop::Inflate);
-            }
-            let delta = (w * scale) as i64;
-            total += w as u128;
-            applied += 1;
-            let hash = key.hash_key();
-            let slot = (hash & cmask) as usize;
-            let idx = self.dedup_cache[slot];
-            if idx != u32::MAX {
-                let entry = &mut self.agg_scratch[idx as usize];
-                if entry.0 == *key {
-                    if let Some(sum) = entry.1.checked_add(delta) {
-                        entry.1 = sum;
-                        continue;
-                    }
-                    // Combined delta overflows: fall through and start a
-                    // fresh entry for the same key.
-                }
-            }
-            self.dedup_cache[slot] = self.agg_scratch.len() as u32;
-            self.agg_scratch.push((key.clone(), delta));
-            self.hash_scratch.push(hash);
-        }
-        (pairs.len(), total, applied, AggStop::Done)
     }
 
     /// Core insertion path shared by updates and merges: adjust the counter,
@@ -994,17 +769,13 @@ impl<K: SketchKey> SketchEngine<K> {
     }
 
     /// Test/bench aid: capacities of every reusable ingest scratch buffer
-    /// (purge sampler, rehash pairs, aggregation entries + hashes, dedup
-    /// cache, table compaction gaps). Steady-state ingest must not grow
+    /// (purge sampler, rehash pairs, table compaction gaps). Steady-state ingest must not grow
     /// any of them — the fig1 harness asserts these stay flat across reps.
     #[doc(hidden)]
-    pub fn ingest_scratch_capacities(&self) -> [usize; 6] {
+    pub fn ingest_scratch_capacities(&self) -> [usize; 3] {
         [
             self.scratch.capacity(),
             self.pair_scratch.capacity(),
-            self.agg_scratch.capacity(),
-            self.hash_scratch.capacity(),
-            self.dedup_cache.capacity(),
             self.table.compaction_scratch_capacity(),
         ]
     }

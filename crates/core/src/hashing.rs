@@ -24,24 +24,6 @@ use crate::rng::split_mix64_mix;
 pub trait Hash64 {
     /// Returns the stable 64-bit hash of `self`.
     fn hash64(&self) -> u64;
-
-    /// Reinterprets a slice of keys as raw `u64` words, if this key type
-    /// *is* `u64`. The default implementation returns `None`; only the
-    /// `u64` impl overrides it (returning the input slice unchanged).
-    ///
-    /// This is the type-safe specialization hook behind the ingest
-    /// kernel's wide slot scan: when the counter table's key array is
-    /// literally `Vec<u64>`, probe steps can compare several contiguous
-    /// keys per iteration (unrolled or SIMD) without any `unsafe`
-    /// transmute — for every other key type the kernel takes the generic
-    /// one-key-per-step path.
-    #[inline]
-    fn keys_as_u64(_keys: &[Self]) -> Option<&[u64]>
-    where
-        Self: Sized,
-    {
-        None
-    }
 }
 
 macro_rules! impl_hash64_int {
@@ -61,11 +43,6 @@ impl Hash64 for u64 {
     #[inline]
     fn hash64(&self) -> u64 {
         split_mix64_mix(*self)
-    }
-
-    #[inline]
-    fn keys_as_u64(keys: &[Self]) -> Option<&[u64]> {
-        Some(keys)
     }
 }
 

@@ -78,233 +78,6 @@ pub(crate) fn prefetch_read<T>(slice: &[T], index: usize) {
 #[inline(always)]
 pub(crate) fn prefetch_read<T>(_slice: &[T], _index: usize) {}
 
-/// Lanes processed together by the multi-lane ingest kernel: this many
-/// independent updates probe as one interleaved state machine, so up to
-/// this many cache misses are in flight at once instead of one.
-const KERNEL_LANES: usize = 8;
-
-/// Contiguous slots examined per wide probe step on `u64` keys.
-const SCAN_WIDTH: usize = 4;
-
-/// True when the ingest kernel should use the AVX2 wide slot scan.
-/// Runtime-detected once per process (the CRC-32C SSE4.2 pattern from
-/// the persistence layer), and overridable for CI with
-/// `STREAMFREQ_FORCE_PORTABLE_SCAN=1`, which pins the explicitly
-/// unrolled portable path so both scan implementations stay exercised.
-#[cfg(target_arch = "x86_64")]
-fn wide_scan_simd_enabled() -> bool {
-    use std::sync::OnceLock;
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        let forced_portable = std::env::var_os("STREAMFREQ_FORCE_PORTABLE_SCAN")
-            .map(|v| v.to_string_lossy() != "0")
-            .unwrap_or(false);
-        !forced_portable && std::arch::is_x86_feature_detected!("avx2")
-    })
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn wide_scan_simd_enabled() -> bool {
-    false
-}
-
-/// Portable wide probe step: examines the `SCAN_WIDTH` slots starting at
-/// `i` (caller guarantees `i + SCAN_WIDTH <= len`, i.e. no ring wrap)
-/// with the exact per-slot order of the scalar probe loop — state first
-/// (an empty slot terminates the probe even when its parked default key
-/// equals the needle), then the key compare. Returns `Some((offset,
-/// matched))` for the first terminating slot, `None` to advance the
-/// window. Explicitly unrolled so the four slot checks pipeline.
-#[inline(always)]
-fn scan4_portable(keys: &[u64], states: &[u16], i: usize, needle: u64) -> Option<(usize, bool)> {
-    let s = &states[i..i + SCAN_WIDTH];
-    let k = &keys[i..i + SCAN_WIDTH];
-    if s[0] == 0 {
-        return Some((0, false));
-    }
-    if k[0] == needle {
-        return Some((0, true));
-    }
-    if s[1] == 0 {
-        return Some((1, false));
-    }
-    if k[1] == needle {
-        return Some((1, true));
-    }
-    if s[2] == 0 {
-        return Some((2, false));
-    }
-    if k[2] == needle {
-        return Some((2, true));
-    }
-    if s[3] == 0 {
-        return Some((3, false));
-    }
-    if k[3] == needle {
-        return Some((3, true));
-    }
-    None
-}
-
-/// AVX2 wide probe step: one 256-bit compare covers all four key slots
-/// and one 64-bit SSE2 compare covers the four 2-byte states. Must agree
-/// with [`scan4_portable`] on every input — the cross-check tests and the
-/// CI portable-forced job pin that. This is the only `unsafe` the ingest
-/// kernel introduces.
-///
-/// # Safety
-/// The caller must have verified AVX2 support at runtime and guarantee
-/// `i + SCAN_WIDTH <= keys.len() == states.len()`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(unsafe_code)]
-unsafe fn scan4_avx2(keys: &[u64], states: &[u16], i: usize, needle: u64) -> Option<(usize, bool)> {
-    use core::arch::x86_64::*;
-    debug_assert!(i + SCAN_WIDTH <= keys.len() && i + SCAN_WIDTH <= states.len());
-    // SAFETY: `i + SCAN_WIDTH` is in bounds (caller contract), so both
-    // unaligned loads stay inside their allocations.
-    let kv = unsafe { _mm256_loadu_si256(keys.as_ptr().add(i) as *const __m256i) };
-    let eq = _mm256_cmpeq_epi64(kv, _mm256_set1_epi64x(needle as i64));
-    // One sign bit per 64-bit lane: bit t set ⇔ keys[i+t] == needle.
-    let match_mask = _mm256_movemask_pd(_mm256_castsi256_pd(eq)) as u32;
-    // SAFETY: same caller contract covers the 8-byte state load.
-    let sv = unsafe { _mm_loadl_epi64(states.as_ptr().add(i) as *const __m128i) };
-    let zeq = _mm_cmpeq_epi16(sv, _mm_setzero_si128());
-    // Two bits per 16-bit lane; keep one per lane: bit t ⇔ state == 0.
-    let zbytes = (_mm_movemask_epi8(zeq) as u32) & 0xFF;
-    let empty_mask = (zbytes & 0b0101_0101).compress_lane_bits();
-    if (match_mask | empty_mask) == 0 {
-        return None;
-    }
-    let first_match = match_mask.trailing_zeros();
-    let first_empty = empty_mask.trailing_zeros();
-    // At equal offsets the empty slot wins: the scalar probe checks the
-    // state before the key, so a default-keyed vacant slot never counts
-    // as a match.
-    if first_empty <= first_match {
-        Some((first_empty as usize, false))
-    } else {
-        Some((first_match as usize, true))
-    }
-}
-
-/// Helper for [`scan4_avx2`]: folds the even bits `b0 b2 b4 b6` of a
-/// byte-pair mask down to contiguous low bits `0..4`.
-trait CompressLaneBits {
-    fn compress_lane_bits(self) -> u32;
-}
-
-impl CompressLaneBits for u32 {
-    #[inline(always)]
-    fn compress_lane_bits(self) -> u32 {
-        (self & 1) | ((self >> 1) & 2) | ((self >> 2) & 4) | ((self >> 3) & 8)
-    }
-}
-
-/// One lane's read-only probe outcome inside the multi-lane kernel.
-#[derive(Clone, Copy, Default)]
-struct LaneProbe {
-    /// Terminating slot: the first empty slot on the probe path, or the
-    /// slot holding the key.
-    slot: usize,
-    /// Probe distance from the lane's home cell to `slot`.
-    dist: usize,
-    /// True if `slot` holds the key (update), false if it is the empty
-    /// insert target.
-    matched: bool,
-}
-
-/// Read-only interleaved probe over `u64` keys for the lanes whose
-/// inline checks already missed: each entry `p` starts at `cur[p]`
-/// (distance `dist[p]` from its home) and advances one wide window per
-/// turn, round-robin
-/// across entries, so the next entry's loads issue while the previous
-/// entry's compare retires — keeping up to `needles.len()` cache misses
-/// in flight across the long probe chains. The table is not modified,
-/// so entry order is irrelevant here; ordering is enforced at commit
-/// time.
-#[inline(never)]
-#[allow(clippy::too_many_arguments)] // split borrows of the table's parallel arrays + per-lane state
-fn probe_pending_u64(
-    keys: &[u64],
-    states: &[u16],
-    mask: usize,
-    needles: &[u64],
-    cur: &mut [usize],
-    dist: &mut [usize],
-    out: &mut [LaneProbe],
-    use_simd: bool,
-) {
-    let len = keys.len();
-    let mut np = needles.len();
-    debug_assert!(np <= KERNEL_LANES && cur.len() == np && dist.len() == np && out.len() == np);
-    let mut active = [0usize; KERNEL_LANES];
-    for (p, a) in active.iter_mut().take(np).enumerate() {
-        *a = p;
-    }
-    while np > 0 {
-        let mut t = 0;
-        while t < np {
-            let l = active[t];
-            let i = cur[l];
-            let step = if i + SCAN_WIDTH <= len {
-                #[cfg(target_arch = "x86_64")]
-                let step = if use_simd {
-                    // SAFETY: `use_simd` is only true after
-                    // `wide_scan_simd_enabled` verified AVX2 at runtime,
-                    // and the window bound was just checked.
-                    #[allow(unsafe_code)]
-                    unsafe {
-                        scan4_avx2(keys, states, i, needles[l])
-                    }
-                } else {
-                    scan4_portable(keys, states, i, needles[l])
-                };
-                #[cfg(not(target_arch = "x86_64"))]
-                let step = {
-                    let _ = use_simd;
-                    scan4_portable(keys, states, i, needles[l])
-                };
-                match step {
-                    None => {
-                        let next = (i + SCAN_WIDTH) & mask;
-                        cur[l] = next;
-                        dist[l] += SCAN_WIDTH;
-                        prefetch_read(keys, next + SCAN_WIDTH);
-                        prefetch_read(states, next + SCAN_WIDTH);
-                        None
-                    }
-                    Some((t_off, matched)) => Some((i + t_off, dist[l] + t_off, matched)),
-                }
-            } else {
-                // Scalar step across the ring boundary (rare: only the
-                // last few slots of the array).
-                if states[i] == 0 {
-                    Some((i, dist[l], false))
-                } else if keys[i] == needles[l] {
-                    Some((i, dist[l], true))
-                } else {
-                    cur[l] = (i + 1) & mask;
-                    dist[l] += 1;
-                    None
-                }
-            };
-            match step {
-                Some((slot, d, matched)) => {
-                    out[l] = LaneProbe {
-                        slot,
-                        dist: d,
-                        matched,
-                    };
-                    np -= 1;
-                    active.swap(t, np);
-                }
-                None => t += 1,
-            }
-        }
-    }
-}
-
 /// Result of [`LpTable::adjust_or_insert`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Upsert {
@@ -312,6 +85,31 @@ pub enum Upsert {
     Updated,
     /// The key was inserted with the given value.
     Inserted,
+}
+
+/// Outcome of [`LpTable::adjust_or_insert_batch_weighted`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WeightedBatch {
+    /// Input pairs processed: the whole batch, or the index of the pair
+    /// the sweep stopped before.
+    pub consumed: usize,
+    /// Sum of the applied weights, before scaling.
+    pub total: u128,
+    /// Number of non-zero-weight updates applied.
+    pub applied: u64,
+    /// Largest counter value written when the sweep tracks it,
+    /// `i64::MIN` otherwise or if nothing was written.
+    pub max_value: i64,
+}
+
+/// What the batch sweep does with one pair, decided from its weight.
+enum Step {
+    /// Upsert the pair's key with this delta.
+    Apply(i64),
+    /// Leave the table untouched (a zero weight).
+    Skip,
+    /// Stop before this pair, leaving it and the rest unconsumed.
+    Stop,
 }
 
 /// Open-addressing counter table with linear probing and parallel
@@ -464,83 +262,87 @@ impl<K: SketchKey> LpTable<K> {
         }
     }
 
-    /// Zero-copy batch entry for the sketch's update path: like
-    /// [`Self::adjust_or_insert_batch`] but consuming `(key, weight)`
-    /// pairs with unsigned weights straight from the caller's stream
-    /// slice, and folding the stream accounting into the same pass (so
-    /// the batch touches each input pair exactly once). Zero weights are
-    /// skipped (they carry no frequency mass and must not allocate a
-    /// counter). Returns `(total_weight, applied)`: the sum of all
-    /// weights and the number of non-zero-weight updates applied.
+    /// The batch upsert behind `SketchEngine::update_batch`: applies
+    /// `(key, weight)` pairs straight from the caller's stream slice, in
+    /// order, state-identically to a scalar [`Self::adjust_or_insert`]
+    /// loop, and folds the stream accounting into the same pass. Zero
+    /// weights are skipped (they carry no frequency mass and must not
+    /// allocate a counter). Each applied delta is `weight × scale`. With
+    /// `SCALED` (the engine's pending lazy decay, whose counters are
+    /// stored forward-inflated by `scale`) the largest post-update
+    /// counter value is tracked too; without it `scale` must be 1 and
+    /// `max_value` is `i64::MIN`.
+    ///
+    /// The sweep stops before the first pair whose weight cannot be
+    /// applied at `scale` — one above `i64::MAX / scale`, so above
+    /// `i64::MAX` at scale 1 — with every earlier pair applied, and
+    /// reports how far it got in [`WeightedBatch::consumed`]. The engine
+    /// hands that pair to its scalar path, which panics (a weight above
+    /// `i64::MAX`) or settles the pending decay and applies it.
     ///
     /// # Panics
-    /// Panics if a weight exceeds `i64::MAX`, with updates before the
-    /// offending pair already applied — byte-identical to what a scalar
-    /// update loop would have done before panicking at the same pair.
-    pub fn adjust_or_insert_batch_weighted(&mut self, batch: &[(K, u64)]) -> (u128, u64) {
-        let mut total: u128 = 0;
-        let mut applied: u64 = 0;
-        for chunk in batch.chunks(BATCH_CHUNK) {
-            assert!(
-                self.num_active + chunk.len() < self.len(),
-                "LpTable overflow: batch of {} cannot keep load below 100%",
-                chunk.len()
-            );
-            let mut homes = [0usize; BATCH_CHUNK];
-            for (j, (key, _)) in chunk.iter().enumerate() {
-                homes[j] = self.home(key);
-            }
-            let n = chunk.len();
-            for &home in homes.iter().take(PREFETCH_AHEAD.min(n)) {
-                self.prefetch_slot(home);
-            }
-            for j in 0..n {
-                if j + PREFETCH_AHEAD < n {
-                    self.prefetch_slot(homes[j + PREFETCH_AHEAD]);
-                }
-                let (key, weight) = &chunk[j];
-                let weight = *weight;
-                if weight == 0 {
-                    continue;
-                }
-                assert!(
-                    weight <= i64::MAX as u64,
-                    "update weight {weight} exceeds supported range"
-                );
-                total += weight as u128;
-                applied += 1;
-                self.upsert_at(homes[j], key.clone(), weight as i64);
-            }
-        }
-        (total, applied)
-    }
-
-    /// Scaled twin of [`Self::adjust_or_insert_batch_weighted`] for the
-    /// engine's lazy-decay bypass: each applied delta is `weight × scale`
-    /// (the pending decay inflation) and the maximum post-update counter
-    /// value is tracked (the lazy overflow guard needs it). Stops before
-    /// the first pair whose *inflated* weight would not fit in `i64` —
-    /// the caller materializes the pending decay (scale returns to 1)
-    /// and retries the remainder. Zero weights are skipped. Returns
-    /// `(consumed, total_weight, applied, max_value)`: input pairs fully
-    /// processed (equal to `batch.len()` when nothing stopped early),
-    /// the sum of *raw* (uninflated) weights, the number of non-zero
-    /// updates applied, and the largest counter value written
-    /// (`i64::MIN` if none were).
-    ///
-    /// # Panics
-    /// Panics if a raw weight exceeds `i64::MAX`, with updates before
-    /// the offending pair already applied — matching the scalar panic
-    /// point.
-    pub(crate) fn adjust_or_insert_batch_weighted_scaled(
+    /// As [`Self::adjust_or_insert_batch`].
+    pub fn adjust_or_insert_batch_weighted<const SCALED: bool>(
         &mut self,
         batch: &[(K, u64)],
         scale: i64,
-    ) -> (usize, u128, u64, i64) {
-        debug_assert!(scale >= 1);
-        let inflatable = (i64::MAX / scale) as u64;
+    ) -> WeightedBatch {
+        debug_assert!(scale >= 1 && (SCALED || scale == 1));
+        let limit = (i64::MAX / scale) as u64;
         let mut total: u128 = 0;
         let mut applied: u64 = 0;
+        let (consumed, max_value) = self.sweep::<u64, SCALED>(batch, |weight| {
+            if weight == 0 {
+                return Step::Skip;
+            }
+            if weight > limit {
+                return Step::Stop;
+            }
+            total += weight as u128;
+            applied += 1;
+            Step::Apply(if SCALED {
+                weight as i64 * scale
+            } else {
+                weight as i64
+            })
+        });
+        WeightedBatch {
+            consumed,
+            total,
+            applied,
+            max_value,
+        }
+    }
+
+    /// Batched [`Self::adjust_or_insert`] for signed deltas (the
+    /// engine's grow/rehash path): the same prefetched sweep as
+    /// [`Self::adjust_or_insert_batch_weighted`], applying every pair in
+    /// order and producing exactly the state a scalar loop would.
+    ///
+    /// # Panics
+    /// Panics if the pending insertions of one 128-pair chunk
+    /// could fill the table completely; the caller must keep
+    /// `num_active + chunk.len() < len` (the sketch's capacity discipline
+    /// guarantees this).
+    pub fn adjust_or_insert_batch(&mut self, batch: &[(K, i64)]) {
+        self.sweep::<i64, false>(batch, Step::Apply);
+    }
+
+    /// The one batch upsert loop. Homes for a [`BATCH_CHUNK`]-pair chunk
+    /// are computed up front and the slots [`PREFETCH_AHEAD`] pairs ahead
+    /// of the cursor are prefetched, so once the table outgrows cache the
+    /// DRAM round-trips overlap. The pairs themselves go through the
+    /// scalar probe loop strictly in order, so the result is the scalar
+    /// loop's state by construction. `step` decides each pair from its
+    /// weight. Returns the number of pairs consumed (all of them unless
+    /// `step` stopped) and, when `TRACK_MAX`, the largest counter value
+    /// written (`i64::MIN` otherwise or if none was).
+    #[inline(always)]
+    fn sweep<W: Copy, const TRACK_MAX: bool>(
+        &mut self,
+        batch: &[(K, W)],
+        mut step: impl FnMut(W) -> Step,
+    ) -> (usize, i64) {
         let mut max_seen = i64::MIN;
         let mut consumed = 0usize;
         for chunk in batch.chunks(BATCH_CHUNK) {
@@ -562,28 +364,20 @@ impl<K: SketchKey> LpTable<K> {
                     self.prefetch_slot(homes[j + PREFETCH_AHEAD]);
                 }
                 let (key, weight) = &chunk[j];
-                let weight = *weight;
-                if weight == 0 {
-                    consumed += 1;
-                    continue;
+                match step(*weight) {
+                    Step::Apply(delta) => {
+                        let (_, value) = self.upsert_at(homes[j], key.clone(), delta);
+                        if TRACK_MAX {
+                            max_seen = max_seen.max(value);
+                        }
+                    }
+                    Step::Skip => {}
+                    Step::Stop => return (consumed + j, max_seen),
                 }
-                assert!(
-                    weight <= i64::MAX as u64,
-                    "update weight {weight} exceeds supported range"
-                );
-                if weight > inflatable {
-                    return (consumed, total, applied, max_seen);
-                }
-                total += weight as u128;
-                applied += 1;
-                let (_, value) = self.upsert_at(homes[j], key.clone(), weight as i64 * scale);
-                if value > max_seen {
-                    max_seen = value;
-                }
-                consumed += 1;
             }
+            consumed += n;
         }
-        (consumed, total, applied, max_seen)
+        (consumed, max_seen)
     }
 
     /// Prefetches the three parallel arrays at slot `i` so the probe loop
@@ -593,458 +387,6 @@ impl<K: SketchKey> LpTable<K> {
         prefetch_read(&self.states, i);
         prefetch_read(&self.keys, i);
         prefetch_read(&self.values, i);
-    }
-
-    /// Batched [`Self::adjust_or_insert`]: applies every `(key, delta)`
-    /// pair **in order**, producing exactly the state a scalar loop would.
-    /// Since the ingest-kernel overhaul this is a thin wrapper over
-    /// [`Self::upsert_batch_kernel`] — multi-lane probing plus wide slot
-    /// scanning — kept under its historical name for the grow/rehash path
-    /// and external callers.
-    ///
-    /// # Panics
-    /// Panics if the pending insertions could fill the table completely;
-    /// the caller must keep `num_active + batch.len() < len` per chunk
-    /// (the sketch's capacity discipline guarantees this).
-    pub fn adjust_or_insert_batch(&mut self, batch: &[(K, i64)]) {
-        self.upsert_batch_kernel(batch);
-    }
-
-    /// The multi-lane ingest kernel: applies every `(key, delta)` pair,
-    /// state-identically to a scalar [`Self::adjust_or_insert`] loop over
-    /// the same pairs in the same order, and returns the maximum
-    /// post-update counter value touched (`i64::MIN` for an empty batch;
-    /// the engine's lazy-decay accounting needs the running maximum).
-    ///
-    /// Three stacked mechanisms, each pinned by differential tests:
-    ///
-    /// 1. homes for a 64-pair chunk are precomputed and software-
-    ///    prefetched ahead of the probe cursor (as before);
-    /// 2. the chunk sweeps in pair order: home matches commit inline
-    ///    (counter adds never change occupancy, so no other probe can
-    ///    observe the reordering), while inserts and home misses queue
-    ///    and flush `KERNEL_LANES` at a time — probing **read-only**
-    ///    as an interleaved state machine, then committing in lane
-    ///    order. The only way a queued lane's read-only probe can
-    ///    disagree with sequential execution is when two *insert* lanes
-    ///    resolved to the same empty slot (an earlier lane's insert at
-    ///    slot `s` cannot lie on a later lane's probe path otherwise:
-    ///    every path cell was observed occupied, and `s` was observed
-    ///    empty — so a later probe could only have *stopped* at `s`,
-    ///    i.e. resolved to the same slot). Lanes from the first such
-    ///    collision fall back to the sequential probe loop, preserving
-    ///    FCFS insert order exactly;
-    /// 3. each probe step examines `SCAN_WIDTH` contiguous slots via an
-    ///    explicitly unrolled `u64` compare (or its runtime-gated AVX2
-    ///    twin) when the key type is `u64`.
-    ///
-    /// # Panics
-    /// As [`Self::adjust_or_insert_batch`], plus the scalar path's probe
-    /// distance assertion, raised in the same pair order.
-    pub fn upsert_batch_kernel(&mut self, pairs: &[(K, i64)]) -> i64 {
-        self.kernel_inner::<true>(pairs, None)
-    }
-
-    /// [`Self::upsert_batch_kernel`] with precomputed key hashes (parallel
-    /// slice, `hashes[j] == pairs[j].0.hash_key()`): the engine's
-    /// aggregation pass already hashed every surviving key for its dedup
-    /// cache, so the kernel derives home slots from those hashes instead
-    /// of hashing a second time. `track_max` selects whether the maximum
-    /// post-update counter value is tracked (monomorphized away when the
-    /// engine has no pending lazy decay); when false the return value is
-    /// unspecified.
-    pub(crate) fn upsert_batch_kernel_hashed(
-        &mut self,
-        pairs: &[(K, i64)],
-        hashes: &[u64],
-        track_max: bool,
-    ) -> i64 {
-        debug_assert_eq!(pairs.len(), hashes.len());
-        if track_max {
-            self.kernel_inner::<true>(pairs, Some(hashes))
-        } else {
-            self.kernel_inner::<false>(pairs, Some(hashes))
-        }
-    }
-
-    fn kernel_inner<const TM: bool>(&mut self, pairs: &[(K, i64)], hashes: Option<&[u64]>) -> i64 {
-        let mut max_seen = i64::MIN;
-        let wide = K::key_slice_as_u64(&self.keys).is_some();
-        let use_simd = wide && wide_scan_simd_enabled();
-        let mut off = 0usize;
-        for chunk in pairs.chunks(BATCH_CHUNK) {
-            assert!(
-                self.num_active + chunk.len() < self.len(),
-                "LpTable overflow: batch of {} cannot keep load below 100%",
-                chunk.len()
-            );
-            let mut homes = [0usize; BATCH_CHUNK];
-            match hashes {
-                Some(h) => {
-                    for j in 0..chunk.len() {
-                        homes[j] = (h[off + j] as usize) & self.mask;
-                        debug_assert_eq!(homes[j], self.home(&chunk[j].0));
-                    }
-                }
-                None => {
-                    for (j, (key, _)) in chunk.iter().enumerate() {
-                        homes[j] = self.home(key);
-                    }
-                }
-            }
-            let n = chunk.len();
-            off += n;
-            for &home in homes.iter().take(KERNEL_LANES.min(n)) {
-                self.prefetch_slot(home);
-            }
-            if !wide {
-                // Generic keys: sequential prefetched upserts (the probe
-                // compares arbitrary `K`, which the wide scan cannot).
-                for j in 0..n {
-                    if j + PREFETCH_AHEAD < n {
-                        self.prefetch_slot(homes[j + PREFETCH_AHEAD]);
-                    }
-                    let (key, delta) = &chunk[j];
-                    let (_, value) = self.upsert_at(homes[j], key.clone(), *delta);
-                    if TM {
-                        max_seen = max_seen.max(value);
-                    }
-                }
-                continue;
-            }
-            // Sweep the chunk in pair order (see `sweep_pair` for the
-            // ordering argument).
-            let pair_at = |q: usize| {
-                let (key, delta) = &chunk[q];
-                (key, *delta)
-            };
-            let mut pend = [0usize; KERNEL_LANES];
-            let mut np = 0usize;
-            for j in 0..n {
-                if j + PREFETCH_AHEAD < n {
-                    self.prefetch_slot(homes[j + PREFETCH_AHEAD]);
-                }
-                let (key, delta) = &chunk[j];
-                self.sweep_pair::<TM, _>(
-                    j,
-                    key,
-                    *delta,
-                    &homes,
-                    &mut pend,
-                    &mut np,
-                    &pair_at,
-                    use_simd,
-                    &mut max_seen,
-                );
-            }
-            if np > 0 {
-                let m = self.flush_pending_u64::<TM, _>(&pair_at, &homes, &pend, np, use_simd);
-                if TM {
-                    max_seen = max_seen.max(m);
-                }
-            }
-        }
-        max_seen
-    }
-
-    /// Streaming twin of [`Self::upsert_batch_kernel`]: consumes
-    /// `(key, weight)` pairs straight from the caller's stream slice (no
-    /// aggregation copy), folding the weight validation and stream
-    /// accounting into the sweep. Zero weights are skipped. Returns
-    /// `(total_weight, applied)`.
-    ///
-    /// Kept as the lane kernel's entry in the `weighted_paths_bench`
-    /// micro-benchmark, which is why the engine's low-duplication
-    /// bypass dispatches to [`Self::adjust_or_insert_batch_weighted`]
-    /// instead: undeduplicated streams are match-heavy with short
-    /// probes, and there the prefetched sequential sweep measures
-    /// ~1.1× faster — the lane machinery only pays once aggregation
-    /// has collapsed duplicates and amortized its cost.
-    ///
-    /// # Panics
-    /// Panics if a weight exceeds `i64::MAX`, with updates before the
-    /// offending pair already applied (queued lanes are flushed first) —
-    /// state-identical to a scalar loop panicking at the same pair.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn upsert_batch_weighted_kernel(&mut self, batch: &[(K, u64)]) -> (u128, u64) {
-        let use_simd = wide_scan_simd_enabled();
-        let mut total: u128 = 0;
-        let mut applied: u64 = 0;
-        for chunk in batch.chunks(BATCH_CHUNK) {
-            assert!(
-                self.num_active + chunk.len() < self.len(),
-                "LpTable overflow: batch of {} cannot keep load below 100%",
-                chunk.len()
-            );
-            let mut homes = [0usize; BATCH_CHUNK];
-            for (j, (key, _)) in chunk.iter().enumerate() {
-                homes[j] = self.home(key);
-            }
-            let n = chunk.len();
-            for &home in homes.iter().take(KERNEL_LANES.min(n)) {
-                self.prefetch_slot(home);
-            }
-            let pair_at = |q: usize| {
-                let (key, weight) = &chunk[q];
-                (key, *weight as i64)
-            };
-            let mut pend = [0usize; KERNEL_LANES];
-            let mut np = 0usize;
-            for j in 0..n {
-                if j + PREFETCH_AHEAD < n {
-                    self.prefetch_slot(homes[j + PREFETCH_AHEAD]);
-                }
-                let (key, weight) = &chunk[j];
-                let weight = *weight;
-                if weight == 0 {
-                    continue;
-                }
-                if weight > i64::MAX as u64 {
-                    // Every earlier pair must be applied before the
-                    // panic, exactly as a scalar loop would have.
-                    if np > 0 {
-                        self.flush_pending_u64::<false, _>(&pair_at, &homes, &pend, np, use_simd);
-                    }
-                    panic!("update weight {weight} exceeds supported range");
-                }
-                total += weight as u128;
-                applied += 1;
-                let mut max_unused = i64::MIN;
-                self.sweep_pair::<false, _>(
-                    j,
-                    key,
-                    weight as i64,
-                    &homes,
-                    &mut pend,
-                    &mut np,
-                    &pair_at,
-                    use_simd,
-                    &mut max_unused,
-                );
-            }
-            if np > 0 {
-                self.flush_pending_u64::<false, _>(&pair_at, &homes, &pend, np, use_simd);
-            }
-        }
-        (total, applied)
-    }
-
-    /// One sweep step of the `u64` kernel, shared by the aggregated and
-    /// streaming entry points. Home (and distance-1) matches commit on
-    /// the spot — a counter add never changes occupancy or stored keys,
-    /// so no other pair's probe can observe the difference. Inserts
-    /// resolve inline only while the flush queue is empty (every earlier
-    /// pair has then committed, so resolving immediately IS sequential
-    /// execution); otherwise they queue with the home misses for the
-    /// multi-lane flush. Occupancy only changes inline-while-empty or
-    /// inside flushes, so everything a queued lane observed at sweep
-    /// time is still true when it flushes.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_pair<'a, const TM: bool, F>(
-        &mut self,
-        j: usize,
-        key: &K,
-        delta: i64,
-        homes: &[usize; BATCH_CHUNK],
-        pend: &mut [usize; KERNEL_LANES],
-        np: &mut usize,
-        pair_at: &F,
-        use_simd: bool,
-        max_seen: &mut i64,
-    ) where
-        F: Fn(usize) -> (&'a K, i64),
-        K: 'a,
-    {
-        let i = homes[j];
-        if self.states[i] != 0 {
-            if self.keys[i] == *key {
-                self.values[i] += delta;
-                if TM {
-                    *max_seen = (*max_seen).max(self.values[i]);
-                }
-                return;
-            }
-            // Distance-1 outcomes are common at the design load and
-            // usually sit on the home slot's cache line: check inline
-            // rather than paying the flush machinery.
-            let i1 = (i + 1) & self.mask;
-            if self.states[i1] != 0 {
-                if self.keys[i1] == *key {
-                    self.values[i1] += delta;
-                    if TM {
-                        *max_seen = (*max_seen).max(self.values[i1]);
-                    }
-                    return;
-                }
-                // Distance >= 2: the flush probes from home + 2.
-                self.prefetch_slot((i1 + 1) & self.mask);
-            } else if *np == 0 {
-                self.keys[i1] = key.clone();
-                self.values[i1] = delta;
-                self.states[i1] = 2;
-                self.num_active += 1;
-                if TM {
-                    *max_seen = (*max_seen).max(delta);
-                }
-                return;
-            }
-        } else if *np == 0 {
-            self.keys[i] = key.clone();
-            self.values[i] = delta;
-            self.states[i] = 1;
-            self.num_active += 1;
-            if TM {
-                *max_seen = (*max_seen).max(delta);
-            }
-            return;
-        }
-        pend[*np] = j;
-        *np += 1;
-        if *np == KERNEL_LANES {
-            let m = self.flush_pending_u64::<TM, _>(pair_at, homes, pend, KERNEL_LANES, use_simd);
-            if TM {
-                *max_seen = (*max_seen).max(m);
-            }
-            *np = 0;
-        }
-    }
-
-    /// Flushes up to `KERNEL_LANES` queued (non-home-match) lanes,
-    /// state-identically to a sequential loop over them:
-    ///
-    /// - lanes whose first empty slot is at distance 0 or 1 resolve
-    ///   read-only as direct inserts (the sweep already ruled out key
-    ///   matches there, and occupancy cannot have changed since);
-    /// - the rest probe read-only on the interleaved wide machine
-    ///   ([`probe_pending_u64`]), starting at home + 2;
-    /// - all lanes then commit in lane order under the insert-collision
-    ///   rule: with at most one insert lane no two inserts can collide
-    ///   (skipping the pairwise scan); otherwise lanes from the first
-    ///   pair of inserts that resolved to the same empty slot re-probe
-    ///   sequentially, because the earlier insert changed the occupancy
-    ///   their read-only probe observed.
-    ///
-    /// Returns the maximum post-update counter value in the flush (when
-    /// `TM`; unspecified otherwise). `pair_at` resolves a queued chunk
-    /// index to its `(key, delta)` pair.
-    fn flush_pending_u64<'a, const TM: bool, F>(
-        &mut self,
-        pair_at: &F,
-        homes: &[usize; BATCH_CHUNK],
-        pend: &[usize; KERNEL_LANES],
-        np: usize,
-        use_simd: bool,
-    ) -> i64
-    where
-        F: Fn(usize) -> (&'a K, i64),
-        K: 'a,
-    {
-        // Probe outcomes indexed by queue position (queue order == lane
-        // order); `mpos` maps machine position back to queue position.
-        let mut probes = [LaneProbe::default(); KERNEL_LANES];
-        let mut mpos = [0usize; KERNEL_LANES];
-        let mut needles = [0u64; KERNEL_LANES];
-        let mut cur = [0usize; KERNEL_LANES];
-        let mut dist = [2usize; KERNEL_LANES];
-        let mut nm = 0usize;
-        for q in 0..np {
-            let i = homes[pend[q]];
-            // Re-derive what the sweep observed: occupancy cannot have
-            // changed since (only flushes insert), and the sweep already
-            // ruled out key matches at distances 0 and 1.
-            if self.states[i] == 0 {
-                probes[q] = LaneProbe {
-                    slot: i,
-                    dist: 0,
-                    matched: false,
-                };
-                continue;
-            }
-            let i1 = (i + 1) & self.mask;
-            if self.states[i1] == 0 {
-                probes[q] = LaneProbe {
-                    slot: i1,
-                    dist: 1,
-                    matched: false,
-                };
-                continue;
-            }
-            mpos[nm] = q;
-            needles[nm] = K::key_slice_as_u64(core::slice::from_ref(pair_at(pend[q]).0))
-                .expect("wide path requires u64 keys")[0];
-            cur[nm] = (i1 + 1) & self.mask;
-            nm += 1;
-        }
-        if nm > 0 {
-            let mut pout = [LaneProbe::default(); KERNEL_LANES];
-            {
-                let keys64 = K::key_slice_as_u64(&self.keys).expect("wide path requires u64 keys");
-                probe_pending_u64(
-                    keys64,
-                    &self.states,
-                    self.mask,
-                    &needles[..nm],
-                    &mut cur[..nm],
-                    &mut dist[..nm],
-                    &mut pout[..nm],
-                    use_simd,
-                );
-            }
-            for m in 0..nm {
-                probes[mpos[m]] = pout[m];
-            }
-        }
-        // With zero or one insert lane no two inserts can collide,
-        // skipping the pairwise scan.
-        let inserts = probes[..np].iter().filter(|p| !p.matched).count();
-        let mut fallback_from = np;
-        if inserts >= 2 {
-            'scan: for j in 1..np {
-                if probes[j].matched {
-                    continue;
-                }
-                for i in 0..j {
-                    if !probes[i].matched && probes[i].slot == probes[j].slot {
-                        fallback_from = j;
-                        break 'scan;
-                    }
-                }
-            }
-        }
-        let mut max_seen = i64::MIN;
-        for q in 0..fallback_from {
-            let p = probes[q];
-            let (key, delta) = pair_at(pend[q]);
-            let value = if p.matched {
-                debug_assert!(self.states[p.slot] != 0 && self.keys[p.slot] == *key);
-                self.values[p.slot] += delta;
-                self.values[p.slot]
-            } else {
-                debug_assert!(self.states[p.slot] == 0);
-                assert!(
-                    p.dist < u16::MAX as usize,
-                    "probe distance {} exceeds 2-byte state range",
-                    p.dist
-                );
-                self.keys[p.slot] = key.clone();
-                self.values[p.slot] = delta;
-                self.states[p.slot] = (p.dist + 1) as u16;
-                self.num_active += 1;
-                delta
-            };
-            if TM {
-                max_seen = max_seen.max(value);
-            }
-        }
-        for q in fallback_from..np {
-            let (key, delta) = pair_at(pend[q]);
-            let (_, value) = self.upsert_at(homes[pend[q]], key.clone(), delta);
-            if TM {
-                max_seen = max_seen.max(value);
-            }
-        }
-        max_seen
     }
 
     /// Returns the maximum assigned counter value, or `None` if empty.
@@ -2149,50 +1491,6 @@ mod tests {
             } else {
                 assert_eq!(t.get(k), Some(9));
             }
-        }
-    }
-
-    /// Same-binary micro-benchmark of the two weighted ingest paths on
-    /// an identical pre-filled table — the cleanest way to compare the
-    /// direct kernel sweep against the prefetched sequential loop
-    /// without cross-binary VM noise. Ignored by default; run with
-    ///
-    /// ```text
-    /// cargo test --release -p streamfreq-core -- --ignored \
-    ///     weighted_paths_bench --nocapture
-    /// ```
-    #[test]
-    #[ignore = "manual micro-benchmark"]
-    fn weighted_paths_bench() {
-        const UPDATES: usize = 6_000_000;
-        const DISTINCT: u64 = 2_500_000;
-        let mut rng = 0x243F_6A88_85A3_08D3u64;
-        let mut next = || {
-            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
-            rng >> 11
-        };
-        let mut base: LpTable = LpTable::with_lg_len(22);
-        for k in 0..DISTINCT {
-            base.adjust_or_insert(k, 1);
-        }
-        let stream: Vec<(u64, u64)> = (0..UPDATES).map(|_| (next() % DISTINCT, 1)).collect();
-        for round in 0..3 {
-            let mut a = base.clone();
-            let t = std::time::Instant::now();
-            let ra = a.adjust_or_insert_batch_weighted(&stream);
-            let ta = t.elapsed().as_secs_f64();
-            let mut b = base.clone();
-            let t = std::time::Instant::now();
-            let rb = b.upsert_batch_weighted_kernel(&stream);
-            let tb = t.elapsed().as_secs_f64();
-            assert_eq!(ra, rb);
-            assert_eq!(a.layout_fingerprint(), b.layout_fingerprint());
-            println!(
-                "round {round}: legacy {:.0}/s  kernel {:.0}/s  ratio {:.3}",
-                UPDATES as f64 / ta,
-                UPDATES as f64 / tb,
-                ta / tb
-            );
         }
     }
 }

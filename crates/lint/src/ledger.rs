@@ -7,10 +7,10 @@
 //!
 //! ```markdown
 //! ## crates/core/src/table.rs
-//! - unsafe-tokens: 3
-//! - allow-attrs: 3
-//! - justification: AVX2 wide scan behind a runtime feature check.
-//! - cross-check: portable-scan CI job pins STREAMFREQ_FORCE_PORTABLE_SCAN=1.
+//! - unsafe-tokens: 1
+//! - allow-attrs: 1
+//! - justification: software prefetch hint; std has no stable API.
+//! - cross-check: kernel_differential pins batch state to scalar state.
 //! ```
 //!
 //! `unsafe-tokens` counts occurrences of the `unsafe` keyword in the
