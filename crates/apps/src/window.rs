@@ -11,12 +11,12 @@
 //! (via [`ItemsSketch`]), so every engine-level optimization reaches it
 //! for free. Updates land in the open (in-memory) bucket through the
 //! engine's batched, prefetching ingestion path; closed buckets are held
-//! as compact wire bytes (hundreds of bytes to a few hundred KiB each,
-//! §2.3.3), the way a production system would keep them in object
-//! storage. A range query deserializes and merges only the buckets that
-//! overlap the queried interval — millions of summaries could be scanned
-//! this way because Algorithm 5's merge is O(k) with no scratch
-//! allocation.
+//! as compact, checksummed engine bytes (hundreds of bytes to a few
+//! hundred KiB each, §2.3.3), the way a production system would keep
+//! them in object storage. A range query deserializes and merges only
+//! the buckets that overlap the queried interval — millions of summaries
+//! could be scanned this way because Algorithm 5's merge is O(k) with no
+//! scratch allocation.
 //!
 //! A **retention limit** ([`WindowedStore::with_retention`]) bounds the
 //! store for retention-limited telemetry: once more than `limit` closed
@@ -80,8 +80,10 @@ pub struct WindowedStore<K: SketchKey + ItemCodec = u64> {
 
 /// Magic bytes of the store's wire format.
 const STORE_MAGIC: &[u8; 4] = b"SFWS";
-/// Current store format version.
-const STORE_VERSION: u8 = 1;
+/// Current store format version. Version 2 stores buckets in the
+/// checksummed engine byte form ([`ItemsSketch::serialize_to_bytes`]);
+/// version-1 stores are refused.
+const STORE_VERSION: u8 = 2;
 
 impl<K: SketchKey + ItemCodec> WindowedStore<K> {
     /// Creates a store with `window_width` time units per bucket and `k`
@@ -176,11 +178,15 @@ impl<K: SketchKey + ItemCodec> WindowedStore<K> {
     ///
     /// # Panics
     /// Panics if the timestamp precedes an already-closed window.
-    fn open_for(&mut self, timestamp: u64) -> &mut ItemsSketch<K> {
+    fn bucket_for(&mut self, timestamp: u64) -> &mut ItemsSketch<K> {
         let start = self.window_start(timestamp);
         if let Some((last_closed, _)) = self.closed.last() {
+            // A closed window ending past u64::MAX leaves no later
+            // window, so overflow means `start` is inside a closed one.
             assert!(
-                start >= *last_closed + self.window_width,
+                last_closed
+                    .checked_add(self.window_width)
+                    .is_some_and(|end| start >= end),
                 "timestamp {timestamp} falls in an already-closed window"
             );
         }
@@ -204,7 +210,7 @@ impl<K: SketchKey + ItemCodec> WindowedStore<K> {
     /// # Panics
     /// Panics if the timestamp precedes an already-closed window.
     pub fn record(&mut self, timestamp: u64, item: K, weight: u64) {
-        self.open_for(timestamp).update(item, weight);
+        self.bucket_for(timestamp).update(item, weight);
     }
 
     /// Records a slice of `(item, weight)` updates that all carry the same
@@ -220,7 +226,7 @@ impl<K: SketchKey + ItemCodec> WindowedStore<K> {
         if batch.is_empty() {
             return;
         }
-        self.open_for(timestamp).update_batch(batch);
+        self.bucket_for(timestamp).update_batch(batch);
     }
 
     /// Closes the open window (serializing it) and opens one at `start`,
@@ -374,7 +380,8 @@ impl<K: SketchKey + ItemCodec> WindowedStore<K> {
             .policy(policy)
             .build()
             .map_err(|e| Error::Corrupt(format!("invalid store configuration: {e}")))?;
-        let num_closed = u32::decode(&mut buf)? as usize;
+        let num_closed = usize::try_from(u32::decode(&mut buf)?)
+            .map_err(|_| Error::Corrupt("closed-window count exceeds usize".into()))?;
         let mut closed = Vec::with_capacity(num_closed.min(1 << 16));
         let mut last_start: Option<u64> = None;
         for _ in 0..num_closed {
@@ -601,9 +608,8 @@ mod tests {
         let b = restored.query_range(0, 700).unwrap().unwrap();
         assert_eq!(a.serialize_to_bytes(), b.serialize_to_bytes());
         // Ingestion continues identically after the roundtrip: the open
-        // bucket's engine state (estimates, purge clock, stream weight)
-        // travels along. (Byte-level layout of the open bucket may be
-        // re-canonicalized by the decode path; behaviour may not change.)
+        // bucket's engine state (estimates, purge clock, stream weight,
+        // slot layout) travels along.
         let mut original = store;
         let mut resumed = restored;
         let more: Vec<(String, u64)> = (0..300u64)
@@ -619,6 +625,21 @@ mod tests {
             let key = format!("k{i}");
             assert_eq!(a.estimate(&key), b.estimate(&key), "{key}");
         }
+        assert_eq!(original.serialize_to_bytes(), resumed.serialize_to_bytes());
+    }
+
+    #[test]
+    #[should_panic(expected = "already-closed")]
+    fn closed_window_at_the_top_slot_refuses_later_timestamps() {
+        // A decoded store may hold a closed window whose end overflows
+        // u64; no timestamp can follow it.
+        let mut crafted: WindowedStore<u64> = WindowedStore::new(100, 16);
+        let top = u64::MAX - u64::MAX % 100;
+        let bucket = ItemsSketch::<u64>::with_max_counters(16).serialize_to_bytes();
+        crafted.closed.push((top, bucket));
+        let mut store =
+            WindowedStore::<u64>::deserialize_from_bytes(&crafted.serialize_to_bytes()).unwrap();
+        store.record(u64::MAX, 1, 1);
     }
 
     #[test]
@@ -630,6 +651,13 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] = b'Z';
         assert!(WindowedStore::<u64>::deserialize_from_bytes(&bad).is_err());
+        // Version-1 stores (buckets in a retired encoding) are refused.
+        let mut old = bytes.clone();
+        old[4] = 1;
+        assert!(matches!(
+            WindowedStore::<u64>::deserialize_from_bytes(&old),
+            Err(Error::UnsupportedVersion(1))
+        ));
         for cut in [0, 4, 10, bytes.len() / 2, bytes.len() - 1] {
             assert!(
                 WindowedStore::<u64>::deserialize_from_bytes(&bytes[..cut]).is_err(),

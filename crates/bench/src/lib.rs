@@ -325,7 +325,7 @@ pub fn run_ingest_median(
 }
 
 /// Serializes ingestion results as a JSON trajectory file (hand-rolled —
-/// the offline workspace carries no serde). Layout:
+/// the offline workspace has no JSON library). Layout:
 ///
 /// ```json
 /// {

@@ -980,9 +980,9 @@ fn saturated_marker(saturated: bool) -> &'static str {
     }
 }
 
-/// `streamfreq info`: decode whatever the path holds — a sketch file, a
-/// checkpoint, a MANIFEST / STORE file, or a durable store directory —
-/// and print its metadata.
+/// `streamfreq info`: decode whatever the path holds — a sketch file or
+/// checkpoint (one format), a MANIFEST / STORE file, a window store, or
+/// a durable store directory — and print its metadata.
 fn run_info(path: &Path) -> Result<String, CliError> {
     let file_meta = std::fs::metadata(path).map_err(|e| CliError::Io(path.to_path_buf(), e))?;
     if file_meta.is_dir() {
@@ -994,7 +994,7 @@ fn run_info(path: &Path) -> Result<String, CliError> {
             let info =
                 checkpoint_info(&bytes).map_err(|e| CliError::Sketch(path.to_path_buf(), e))?;
             Ok(format!(
-                "checkpoint {}\n\
+                "sketch {}\n\
                  \x20 epoch:             {}\n\
                  \x20 key type:          {}\n\
                  \x20 capacity (k):      {}\n\
@@ -1059,42 +1059,14 @@ fn run_info(path: &Path) -> Result<String, CliError> {
                 meta.seed,
             ))
         }
-        Some(b"SFQI") => Ok(format!(
-            "items sketch {} (generic key type; decode with the \
-             ItemsSketch API for full details)\n",
-            path.display()
-        )),
         Some(b"SFWS") => Ok(format!(
             "windowed bucket store {} — query with `streamfreq window query`\n",
             path.display()
         )),
-        _ => {
-            let s = read_sketch(path)?;
-            let engine = s.engine();
-            Ok(format!(
-                "sketch {}\n\
-                 \x20 key type:          u64\n\
-                 \x20 capacity (k):      {}\n\
-                 \x20 counters in use:   {}\n\
-                 \x20 policy:            {:?}\n\
-                 \x20 stream weight N:   {}{}\n\
-                 \x20 updates n:         {}\n\
-                 \x20 purges:            {}\n\
-                 \x20 max error:         {}{}\n\
-                 \x20 table memory:      {} bytes\n",
-                path.display(),
-                s.max_counters(),
-                s.num_counters(),
-                s.policy(),
-                s.stream_weight(),
-                saturated_marker(engine.stream_weight_saturated()),
-                s.num_updates(),
-                s.num_purges(),
-                s.maximum_error(),
-                saturated_marker(engine.maximum_error_saturated()),
-                s.memory_bytes()
-            ))
-        }
+        other => Err(CliError::Sketch(
+            path.to_path_buf(),
+            streamfreq_core::Error::Corrupt(format!("unrecognized file magic {other:02x?}")),
+        )),
     }
 }
 

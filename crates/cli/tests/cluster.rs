@@ -201,13 +201,10 @@ fn run_cli(args: &[&str]) -> String {
 }
 
 /// The reference per-node bank: exactly the shape `serve` builds
-/// (`SHARDS` shards of `K / SHARDS` counters, merged at capacity `K`),
-/// then round-tripped through the SFQ1 codec the way every `SNAP`
-/// payload is. The roundtrip matters: decoding rebuilds the hash table,
-/// which is operationally identical but may lay counters out in
-/// different slots, and downstream *purge sampling* reads slots by
-/// position — so the single-node comparator must consume the same
-/// serialized snapshots the query tier does.
+/// (`SHARDS` shards of `K / SHARDS` counters, merged at capacity `K`).
+/// The engine is compared untouched: a `SNAP` payload restores the
+/// node's table slot for slot, so the query tier merges engines whose
+/// layout — which purge sampling reads by position — matches this one.
 fn node_engine(slice: &[(u64, u64)]) -> SketchEngine<u64> {
     let mut bank: ShardedSketch = ShardedSketch::builder(SHARDS, K / SHARDS)
         .policy(PurgePolicy::smed())
@@ -215,9 +212,7 @@ fn node_engine(slice: &[(u64, u64)]) -> SketchEngine<u64> {
         .build()
         .unwrap();
     bank.update_batch(slice);
-    let organic = bank.merged_with_capacity(K);
-    SketchEngine::<u64>::deserialize_from_bytes(&organic.serialize_to_bytes())
-        .expect("reference snapshot roundtrip")
+    bank.merged_with_capacity(K)
 }
 
 /// The reference cluster answer: per-node engines merged in topology

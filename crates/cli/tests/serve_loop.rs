@@ -261,3 +261,44 @@ fn serve_rejects_an_overlong_text_line_and_keeps_serving() {
     assert!(text_request(&mut server.connect(), "EST 1").starts_with("OK "));
     server.quit();
 }
+
+#[test]
+fn serve_rejects_an_ingest_weight_beyond_i64_and_keeps_serving() {
+    let server = Server::spawn("bigweight", &["-k", "1024", "--snapshot-ms", "50"]);
+    let mut ingest = server.connect_binary();
+
+    // A weight past the engine's i64 counter range: the node answers
+    // ERR instead of handing it to (and panicking) a shard worker.
+    let mut frame = Vec::new();
+    push_request(
+        &mut frame,
+        OP_INGEST,
+        &encode_ingest_batch(&[(7, u64::MAX)]),
+    );
+    ingest.write_all(&frame).unwrap();
+    let (status, payload) = read_frame(&mut ingest);
+    assert_ne!(status, 0, "oversized weight acknowledged");
+    assert!(
+        String::from_utf8_lossy(&payload).contains("exceeds i64::MAX"),
+        "{}",
+        String::from_utf8_lossy(&payload)
+    );
+
+    // The same item, at the largest legal weight, still lands.
+    frame.clear();
+    let max_weight = i64::MAX as u64;
+    push_request(
+        &mut frame,
+        OP_INGEST,
+        &encode_ingest_batch(&[(7, max_weight)]),
+    );
+    ingest.write_all(&frame).unwrap();
+    assert_eq!(read_frame(&mut ingest).0, 0, "INGEST ack");
+    let deadline = Instant::now() + DEADLINE;
+    while !text_request(&mut server.connect(), "STATS").contains("counters=1 ") {
+        assert!(Instant::now() < deadline, "valid update never published");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert!(text_request(&mut server.connect(), "EST 7").starts_with("OK "));
+    server.quit();
+}

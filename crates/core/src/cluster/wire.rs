@@ -9,10 +9,12 @@
 //!
 //! | opcode | request payload | OK payload |
 //! |---|---|---|
-//! | `SNAP` | empty | `epoch u64le \| sealed u8 \| engine SFQ1 bytes` |
+//! | `SNAP` | empty | `epoch u64le \| sealed u8 \| engine bytes` ([`crate::codec`]) |
 //! | `REPL` | empty | `count u32le`, then per file `path_len u16le \| path \| size u64le` |
 //! | `FETCH` | `offset u64le \| path bytes` | file bytes from `offset` (chunk-capped) |
 //! | `INGEST` | `count u32le`, then `count ×` (`item u64le`, `weight u64le`) | `applied u64le` |
+//!
+//! `INGEST` weights are capped at `i64::MAX`, the engine's counter range.
 //!
 //! Every decoder treats its input as **untrusted**: response payloads
 //! cross a socket from a process that may be of a different version,
@@ -21,10 +23,14 @@
 //! [`Error::Corrupt`]/[`Error::Truncated`] and never panic; shipped
 //! file paths are validated against traversal (`..`, absolute paths)
 //! before any filesystem use; counts are bounded so a hostile length
-//! cannot request a huge allocation.
+//! cannot request a huge allocation. That includes a `SNAP` engine's
+//! capacity, which sizes its counter table: it is checked against
+//! [`MAX_SNAPSHOT_COUNTERS`] from the header alone, before any table
+//! exists.
 
 use crate::engine::SketchEngine;
 use crate::error::Error;
+use crate::persist::checkpoint::checkpoint_info;
 
 /// Most files one `REPL` manifest may list.
 pub const MAX_SHIP_FILES: u32 = 65_536;
@@ -34,6 +40,14 @@ pub const MAX_SHIP_PATH: usize = 512;
 
 /// Most updates one `INGEST` frame may carry.
 pub const MAX_INGEST_BATCH: usize = 65_536;
+
+/// Largest engine capacity (`max_counters`, the paper's `k`) a `SNAP`
+/// payload may declare. The capacity sizes the decoded counter table
+/// (up to `2^lg` slots with `2^lg ≥ 4k/3`), so it is capped before
+/// decoding: 2^20 counters bound a hostile payload to a 2^21-slot table
+/// (32 MiB for `u64` keys), well above every node capacity the repo
+/// configures (65 536 at most).
+pub const MAX_SNAPSHOT_COUNTERS: u64 = 1 << 20;
 
 /// A node's exported snapshot: the published Algorithm-5 merged engine
 /// plus the serving metadata a query tier tracks per node.
@@ -138,11 +152,14 @@ pub fn encode_snapshot(epoch: u64, sealed: bool, engine: &SketchEngine<u64>) -> 
 }
 
 /// Decodes a `SNAP` OK payload (untrusted bytes from a fanned-out
-/// node). The embedded engine goes through the full defensive SFQ1
-/// decode, audit gate included.
+/// node). The embedded engine's header is read first, and a capacity
+/// above [`MAX_SNAPSHOT_COUNTERS`] is refused before any table is
+/// allocated; the engine then goes through the full checksummed,
+/// slot-exact decode, layout validation and audit gate included.
 ///
 /// # Errors
-/// [`Error::Corrupt`]/[`Error::Truncated`] on malformed bytes.
+/// [`Error::Corrupt`]/[`Error::Truncated`] on malformed bytes or an
+/// over-cap capacity.
 pub fn decode_snapshot(payload: &[u8]) -> Result<NodeSnapshot, Error> {
     let mut buf = payload;
     let epoch = take_u64(&mut buf)?;
@@ -151,6 +168,12 @@ pub fn decode_snapshot(payload: &[u8]) -> Result<NodeSnapshot, Error> {
         Some(1) => true,
         _ => return Err(Error::Corrupt("bad sealed flag in snapshot payload".into())),
     };
+    let max_counters = checkpoint_info(buf)?.max_counters;
+    if max_counters > MAX_SNAPSHOT_COUNTERS {
+        return Err(Error::Corrupt(format!(
+            "snapshot capacity {max_counters} exceeds {MAX_SNAPSHOT_COUNTERS}"
+        )));
+    }
     let engine = SketchEngine::<u64>::deserialize_from_bytes(buf)?;
     Ok(NodeSnapshot {
         epoch,
@@ -254,8 +277,10 @@ pub fn encode_ingest_batch(batch: &[(u64, u64)]) -> Vec<u8> {
 /// Decodes an `INGEST` request payload (untrusted bytes from a client).
 ///
 /// # Errors
-/// [`Error::Corrupt`]/[`Error::Truncated`] on malformed bytes or a
-/// count beyond [`MAX_INGEST_BATCH`].
+/// [`Error::Corrupt`]/[`Error::Truncated`] on malformed bytes, a
+/// count beyond [`MAX_INGEST_BATCH`], or a weight beyond `i64::MAX`
+/// (the engine's counter range; applying one would panic the shard
+/// worker).
 pub fn decode_ingest_batch(payload: &[u8]) -> Result<Vec<(u64, u64)>, Error> {
     let mut buf = payload;
     let updates = take_u32(&mut buf)?;
@@ -271,6 +296,11 @@ pub fn decode_ingest_batch(payload: &[u8]) -> Result<Vec<(u64, u64)>, Error> {
     for _ in 0..updates {
         let item = take_u64(&mut buf)?;
         let weight = take_u64(&mut buf)?;
+        if i64::try_from(weight).is_err() {
+            return Err(Error::Corrupt(format!(
+                "ingest weight {weight} exceeds i64::MAX"
+            )));
+        }
         out.push((item, weight));
     }
     expect_empty(buf, "ingest")?;
@@ -297,14 +327,49 @@ mod tests {
             engine.state_fingerprint(),
             "decoded engine must be operationally identical"
         );
+        assert_eq!(
+            snap.engine.table_layout_fingerprint(),
+            engine.table_layout_fingerprint(),
+            "decoded engine must keep the slot layout"
+        );
         assert!(decode_snapshot(&payload[..7]).is_err(), "truncated header");
         let mut bad_flag = payload.clone();
         bad_flag[8] = 7;
         assert!(decode_snapshot(&bad_flag).is_err(), "bad sealed flag");
-        let mut bad_engine = payload.clone();
-        let last = bad_engine.len() - 1;
-        bad_engine[last] ^= 0xFF;
-        assert!(decode_snapshot(&bad_engine).is_err(), "corrupt engine");
+        // Every byte of the engine encoding is checksummed: no
+        // single-byte change decodes into a different sketch. (The epoch
+        // and sealed flag ahead of it are frame fields.)
+        for at in 9..payload.len() {
+            let mut bad_engine = payload.clone();
+            bad_engine[at] ^= 0xFF;
+            assert!(decode_snapshot(&bad_engine).is_err(), "flip at byte {at}");
+        }
+        // A CRC-valid 130-byte engine encoding claiming a capacity of
+        // 100 663 295 counters at table size 2^27: decoding it would
+        // allocate and scan a 2 GiB table. The header check refuses it
+        // first. max_counters follows magic/version/flags/reserved (8),
+        // epoch (8) and the key-type label "u64" (2 + 3); lg_cur follows
+        // the policy (17) and seed (8).
+        let mut hostile = SketchEngine::<u64>::builder(32)
+            .build()
+            .unwrap()
+            .serialize_to_bytes();
+        assert_eq!(hostile.len(), 130);
+        hostile.truncate(126);
+        hostile[21..29].copy_from_slice(&100_663_295u64.to_le_bytes());
+        hostile[54..58].copy_from_slice(&27u32.to_le_bytes());
+        let crc = crate::persist::crc32c(&hostile);
+        hostile.extend_from_slice(&crc.to_le_bytes());
+        let mut over_cap = payload[..9].to_vec();
+        over_cap.extend_from_slice(&hostile);
+        let started = std::time::Instant::now();
+        let err = decode_snapshot(&over_cap).unwrap_err();
+        assert!(err.to_string().contains("exceeds"), "{err}");
+        assert!(
+            started.elapsed() < std::time::Duration::from_millis(50),
+            "over-cap snapshot took {:?} to reject",
+            started.elapsed()
+        );
     }
 
     #[test]
@@ -370,5 +435,16 @@ mod tests {
         let mut hostile = Vec::new();
         hostile.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode_ingest_batch(&hostile).is_err());
+        // Weights are bounded by the engine's i64 counter range.
+        let max = i64::MAX as u64;
+        let edge = encode_ingest_batch(&[(1, max)]);
+        assert_eq!(decode_ingest_batch(&edge).unwrap(), vec![(1, max)]);
+        for weight in [max + 1, u64::MAX] {
+            let payload = encode_ingest_batch(&[(1, 5), (2, weight)]);
+            assert!(
+                matches!(decode_ingest_batch(&payload), Err(Error::Corrupt(_))),
+                "weight {weight} accepted"
+            );
+        }
     }
 }

@@ -1,59 +1,44 @@
-//! Compact binary serialization of [`FreqSketch`].
+//! The byte form of a sketch engine, plus the purge-policy wire helpers
+//! every streamfreq container format shares.
 //!
 //! Mergeable summaries matter because they move between machines (§3's
 //! motivating scenarios: per-hour summaries at query time, partitioned
-//! processing, geo-distributed aggregation). That requires a stable wire
-//! format. The encoding below is little-endian, versioned, and stores only
-//! the assigned counters — an underfilled sketch of capacity 24 576 costs a
-//! few hundred bytes on the wire, not 576 KiB.
+//! processing, geo-distributed aggregation). That requires one stable
+//! wire format, and streamfreq has exactly one: every whole-engine byte
+//! form — [`FreqSketch`] and [`crate::ItemsSketch`] files, cluster `SNAP`
+//! payloads ([`crate::cluster::wire`]), and the apps crate's windowed
+//! buckets — is the SFCK checkpoint encoding of
+//! [`crate::persist::checkpoint`], written with epoch 0.
 //!
-//! The codec is implemented on the `u64` instantiation of the generic
-//! engine ([`SketchEngine<u64>`]), so every `u64`-keyed summary — a
-//! [`FreqSketch`], a [`crate::ShardedSketch`] shard, or a merged export —
-//! serializes identically. The byte layout is unchanged from the
-//! pre-engine implementation (pinned by the round-trip tests below).
+//! That encoding is:
 //!
-//! ## Layout (version 1)
+//! * **CRC-covered** — a trailing CRC-32C over every byte, so any bit
+//!   flip or truncation is an error before a single field is trusted;
+//! * **slot-exact** — counters travel as `(slot, item, count)` triples
+//!   and are restored verbatim, so a decoded engine is
+//!   fingerprint-identical to the original down to its table layout,
+//!   and *continuing to update it produces bit-identical results* (the
+//!   purge-sampler state travels along too);
+//! * **content-sized** — only assigned counters are stored, so an
+//!   underfilled sketch of capacity 24 576 costs a few hundred bytes on
+//!   the wire, not 576 KiB.
 //!
-//! | offset | size | field |
-//! |-------:|-----:|-------|
-//! | 0      | 4    | magic `"SFQ1"` |
-//! | 4      | 1    | format version (`1`) |
-//! | 5      | 1    | policy tag (0 = SampleQuantile, 1 = ExactKStar, 2 = GlobalMin) |
-//! | 6      | 2    | flags (bit 0: stream weight saturated; bit 1: error offset saturated; rest reserved, zero) |
-//! | 8      | 8    | `max_counters` |
-//! | 16     | 8    | `seed` |
-//! | 24     | 8    | `offset` (cumulative decrement) |
-//! | 32     | 8    | `stream_weight` |
-//! | 40     | 8    | `num_updates` |
-//! | 48     | 8    | `num_purges` |
-//! | 56     | 8    | policy parameter A (`sample_size`, or `fraction` bits) |
-//! | 64     | 8    | policy parameter B (`quantile` bits, else zero) |
-//! | 72     | 32   | purge-sampler state (xoshiro256\*\* state words) |
-//! | 104    | 4    | `num_active` |
-//! | 108    | 16·n | `num_active` × (item `u64`, count `u64`) |
-//!
-//! Deserialization reconstructs the counter table by re-inserting the
-//! pairs; because the item hash is deterministic ([`crate::hashing`]), the
-//! rebuilt table is operationally identical, and because the sampler state
-//! is carried along, *continuing to update a round-tripped sketch produces
-//! bit-identical results to the original*.
+//! Decoding treats its input as untrusted apart from the table size: the
+//! header's `max_counters` sizes the table directly, so callers reading
+//! bytes from a peer cap it first (see
+//! [`crate::cluster::wire::MAX_SNAPSHOT_COUNTERS`]).
 
-use bytes::{Buf, BufMut};
-
-use crate::engine::{SketchEngine, SketchEngineBuilder};
+use crate::engine::{SketchEngine, SketchKey};
 use crate::error::Error;
+use crate::item_codec::ItemCodec;
+use crate::persist::checkpoint::{decode_checkpoint, encode_checkpoint};
 use crate::purge::PurgePolicy;
-use crate::rng::Xoshiro256StarStar;
 use crate::sketch::FreqSketch;
 
-const MAGIC: &[u8; 4] = b"SFQ1";
-const VERSION: u8 = 1;
-const HEADER_LEN: usize = 108;
-
 /// Wire tag of a [`PurgePolicy`] (shared by every streamfreq encoding:
-/// the `u64` sketch format, the items format, and downstream container
-/// formats such as the apps crate's windowed bucket store).
+/// the engine byte form, the durable store's metadata files, and
+/// downstream container formats such as the apps crate's windowed
+/// bucket store).
 pub fn policy_tag(policy: &PurgePolicy) -> u8 {
     match policy {
         PurgePolicy::SampleQuantile { .. } => 0,
@@ -97,138 +82,29 @@ pub fn policy_from_wire(tag: u8, a: u64, b: u64) -> Result<PurgePolicy, Error> {
     Ok(policy)
 }
 
-impl SketchEngine<u64> {
-    /// Serializes the engine into a fresh byte vector (format version 1).
+impl<K: SketchKey + ItemCodec> SketchEngine<K> {
+    /// Serializes the engine into its byte form (an epoch-0 checkpoint;
+    /// see the [module docs](self)).
     pub fn serialize_to_bytes(&self) -> Vec<u8> {
-        let num_active = self.table.num_active();
-        let mut out = Vec::with_capacity(HEADER_LEN + 16 * num_active);
-        out.put_slice(MAGIC);
-        out.put_u8(VERSION);
-        out.put_u8(policy_tag(&self.policy));
-        out.put_u16_le(u16::from(self.weight_saturated) | u16::from(self.offset_saturated) << 1);
-        out.put_u64_le(self.max_counters as u64);
-        out.put_u64_le(self.seed);
-        out.put_u64_le(self.offset);
-        out.put_u64_le(self.stream_weight);
-        out.put_u64_le(self.num_updates);
-        out.put_u64_le(self.num_purges);
-        let (a, b) = policy_params(&self.policy);
-        out.put_u64_le(a);
-        out.put_u64_le(b);
-        for word in self.rng.state() {
-            out.put_u64_le(word);
-        }
-        out.put_u32_le(num_active as u32);
-        for (&item, count) in self.table.iter() {
-            out.put_u64_le(item);
-            out.put_u64_le(count as u64);
-        }
-        out
+        encode_checkpoint(self, 0)
     }
 
-    /// Reconstructs an engine serialized by [`Self::serialize_to_bytes`].
+    /// Reconstructs an engine serialized by [`Self::serialize_to_bytes`]
+    /// (or any checkpoint of the same key type, whatever its epoch).
     ///
     /// # Errors
     /// Returns [`Error::Corrupt`], [`Error::UnsupportedVersion`] or
-    /// [`Error::Truncated`] for malformed input. Trailing bytes after the
-    /// encoded sketch are rejected as corruption.
-    pub fn deserialize_from_bytes(bytes: &[u8]) -> Result<SketchEngine<u64>, Error> {
-        let mut buf = bytes;
-        if buf.remaining() < HEADER_LEN {
-            return Err(Error::Truncated {
-                needed: HEADER_LEN - buf.remaining(),
-                remaining: buf.remaining(),
-            });
-        }
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
-            return Err(Error::Corrupt(format!("bad magic {magic:02x?}")));
-        }
-        let version = buf.get_u8();
-        if version != VERSION {
-            return Err(Error::UnsupportedVersion(version));
-        }
-        let tag = buf.get_u8();
-        let flags = buf.get_u16_le();
-        if flags > 3 {
-            return Err(Error::Corrupt("nonzero reserved flag bits".into()));
-        }
-        let weight_saturated = flags & 1 != 0;
-        let offset_saturated = flags & 2 != 0;
-        let max_counters = usize::try_from(buf.get_u64_le())
-            .map_err(|_| Error::Corrupt("max_counters exceeds usize".into()))?;
-        let seed = buf.get_u64_le();
-        let offset = buf.get_u64_le();
-        let stream_weight = buf.get_u64_le();
-        let num_updates = buf.get_u64_le();
-        let num_purges = buf.get_u64_le();
-        let param_a = buf.get_u64_le();
-        let param_b = buf.get_u64_le();
-        let mut state = [0u64; 4];
-        for word in &mut state {
-            *word = buf.get_u64_le();
-        }
-        if state == [0; 4] {
-            // `Xoshiro256StarStar::from_state` asserts on this; hostile
-            // bytes must surface as an error, not a panic.
-            return Err(Error::Corrupt("invalid all-zero sampler state".into()));
-        }
-        let num_active = usize::try_from(buf.get_u32_le())
-            .map_err(|_| Error::Corrupt("num_active exceeds usize".into()))?;
-        let counter_bytes = num_active
-            .checked_mul(16)
-            .ok_or_else(|| Error::Corrupt("counter section size overflows".into()))?;
-        if buf.remaining() != counter_bytes {
-            return if buf.remaining() < counter_bytes {
-                Err(Error::Truncated {
-                    needed: counter_bytes - buf.remaining(),
-                    remaining: buf.remaining(),
-                })
-            } else {
-                Err(Error::Corrupt("trailing bytes after counters".into()))
-            };
-        }
-        if num_active > max_counters {
-            return Err(Error::Corrupt(format!(
-                "{num_active} counters exceed capacity {max_counters}"
-            )));
-        }
-        let policy = policy_from_wire(tag, param_a, param_b)?;
-        let mut engine = SketchEngineBuilder::<u64>::new(max_counters)
-            .policy(policy)
-            .seed(seed)
-            .build()
-            .map_err(|e| Error::Corrupt(e.to_string()))?;
-        for _ in 0..num_active {
-            let item = buf.get_u64_le();
-            let count = buf.get_u64_le();
-            if count == 0 {
-                return Err(Error::Corrupt("counter value 0 out of range".into()));
-            }
-            let count = i64::try_from(count)
-                .map_err(|_| Error::Corrupt(format!("counter value {count} out of range")))?;
-            // Direct feed: counts are within capacity, so no purge can fire,
-            // only table growth.
-            engine.feed_for_decode(item, count)?;
-        }
-        engine.offset = offset;
-        engine.offset_saturated = offset_saturated;
-        engine.stream_weight = stream_weight;
-        engine.weight_saturated = weight_saturated;
-        engine.num_updates = num_updates;
-        engine.num_purges = num_purges;
-        engine.rng = Xoshiro256StarStar::from_state(state);
-        // Final gate: a payload that passes every field check but breaks
-        // a whole-engine invariant (capacity, mass conservation) is still
-        // corrupt — surface it here, never as a later panic.
-        engine.audit().map_err(Error::Corrupt)?;
-        Ok(engine)
+    /// [`Error::Truncated`] for malformed input: a checksum mismatch,
+    /// another format's magic, a key-type mismatch, impossible field
+    /// values, or a counter layout that breaks the table's invariants.
+    pub fn deserialize_from_bytes(bytes: &[u8]) -> Result<Self, Error> {
+        decode_checkpoint(bytes).map(|(engine, _epoch)| engine)
     }
 }
 
 impl FreqSketch {
-    /// Serializes the sketch into a fresh byte vector (format version 1).
+    /// Serializes the sketch into its byte form (see the
+    /// [module docs](self)).
     pub fn serialize_to_bytes(&self) -> Vec<u8> {
         self.engine.serialize_to_bytes()
     }
@@ -236,107 +112,30 @@ impl FreqSketch {
     /// Reconstructs a sketch serialized by [`Self::serialize_to_bytes`].
     ///
     /// # Errors
-    /// Returns [`Error::Corrupt`], [`Error::UnsupportedVersion`] or
-    /// [`Error::Truncated`] for malformed input. Trailing bytes after the
-    /// encoded sketch are rejected as corruption.
+    /// As [`SketchEngine::deserialize_from_bytes`].
     pub fn deserialize_from_bytes(bytes: &[u8]) -> Result<FreqSketch, Error> {
-        Ok(FreqSketch {
-            engine: SketchEngine::<u64>::deserialize_from_bytes(bytes)?,
-        })
-    }
-}
-
-/// Serde integration (enable the `serde` cargo feature): sketches
-/// serialize as a structured record mirroring the binary wire format, so
-/// they can ride along in JSON/CBOR/etc. configuration or RPC payloads.
-/// For high-volume transport prefer [`FreqSketch::serialize_to_bytes`].
-#[cfg(feature = "serde")]
-mod serde_impl {
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    use super::{policy_from_wire, policy_params, policy_tag};
-    use crate::engine::SketchEngineBuilder;
-    use crate::rng::Xoshiro256StarStar;
-    use crate::sketch::FreqSketch;
-
-    #[derive(Serialize, Deserialize)]
-    struct WireSketch {
-        max_counters: u64,
-        policy_tag: u8,
-        policy_a: u64,
-        policy_b: u64,
-        seed: u64,
-        offset: u64,
-        stream_weight: u64,
-        num_updates: u64,
-        num_purges: u64,
-        rng_state: [u64; 4],
-        counters: Vec<(u64, u64)>,
-    }
-
-    impl Serialize for FreqSketch {
-        fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-            let engine = &self.engine;
-            let (a, b) = policy_params(&engine.policy);
-            WireSketch {
-                max_counters: engine.max_counters as u64,
-                policy_tag: policy_tag(&engine.policy),
-                policy_a: a,
-                policy_b: b,
-                seed: engine.seed,
-                offset: engine.offset,
-                stream_weight: engine.stream_weight,
-                num_updates: engine.num_updates,
-                num_purges: engine.num_purges,
-                rng_state: engine.rng.state(),
-                counters: engine.table.iter().map(|(&k, v)| (k, v as u64)).collect(),
-            }
-            .serialize(serializer)
-        }
-    }
-
-    impl<'de> Deserialize<'de> for FreqSketch {
-        fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-            use serde::de::Error as _;
-            let wire = WireSketch::deserialize(deserializer)?;
-            let policy = policy_from_wire(wire.policy_tag, wire.policy_a, wire.policy_b)
-                .map_err(D::Error::custom)?;
-            let max_counters = usize::try_from(wire.max_counters).map_err(D::Error::custom)?;
-            let mut engine = SketchEngineBuilder::<u64>::new(max_counters)
-                .policy(policy)
-                .seed(wire.seed)
-                .build()
-                .map_err(D::Error::custom)?;
-            if wire.counters.len() > max_counters {
-                return Err(D::Error::custom("more counters than capacity"));
-            }
-            for (item, count) in wire.counters {
-                if count == 0 {
-                    return Err(D::Error::custom("counter value out of range"));
-                }
-                let count = i64::try_from(count)
-                    .map_err(|_| D::Error::custom("counter value out of range"))?;
-                engine
-                    .feed_for_decode(item, count)
-                    .map_err(D::Error::custom)?;
-            }
-            engine.offset = wire.offset;
-            engine.stream_weight = wire.stream_weight;
-            engine.num_updates = wire.num_updates;
-            engine.num_purges = wire.num_purges;
-            if wire.rng_state == [0; 4] {
-                return Err(D::Error::custom("invalid all-zero sampler state"));
-            }
-            engine.rng = Xoshiro256StarStar::from_state(wire.rng_state);
-            Ok(FreqSketch { engine })
-        }
+        SketchEngine::deserialize_from_bytes(bytes).map(FreqSketch::from)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::crc32c;
     use crate::result::ErrorType;
+
+    /// Header length of a `u64`-keyed engine's bytes: magic, version,
+    /// flags, reserved (8) | epoch (8) | key-type label `"u64"` (2 + 3) |
+    /// `max_counters` (8) | policy (1 + 16) | seed (8) | `lg_cur` (4) |
+    /// offset, stream weight, updates, purges (32) | sampler (32) |
+    /// `num_active` (4).
+    const HEADER_LEN: usize = 126;
+    /// Policy tag offset (after the `max_counters` word).
+    const POLICY_TAG_AT: usize = 29;
+    /// The four sampler-state words.
+    const SAMPLER: std::ops::Range<usize> = 90..122;
+    /// One counter entry: slot `u32`, item `u64`, count `u64`.
+    const ENTRY_LEN: usize = 20;
 
     fn loaded_sketch() -> FreqSketch {
         let mut s = FreqSketch::builder(128)
@@ -350,6 +149,31 @@ mod tests {
         s
     }
 
+    /// A one-counter sketch: its last entry's count sits just before the
+    /// CRC trailer.
+    fn one_counter_sketch() -> FreqSketch {
+        let mut s = FreqSketch::with_max_counters(8);
+        s.update(1, 5);
+        s
+    }
+
+    /// Replaces the CRC trailer so a crafted edit reaches the field
+    /// checks instead of failing the checksum.
+    fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+        bytes.truncate(bytes.len() - 4);
+        let crc = crc32c(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        bytes
+    }
+
+    /// Overwrites the last counter's count (then reseals).
+    fn with_last_count(bytes: Vec<u8>, count: u64) -> Vec<u8> {
+        let mut bytes = bytes;
+        let n = bytes.len();
+        bytes[n - 12..n - 4].copy_from_slice(&count.to_le_bytes());
+        reseal(bytes)
+    }
+
     #[test]
     fn roundtrip_preserves_all_queries() {
         let s = loaded_sketch();
@@ -361,6 +185,11 @@ mod tests {
         assert_eq!(d.maximum_error(), s.maximum_error());
         assert_eq!(d.num_counters(), s.num_counters());
         assert_eq!(d.max_counters(), s.max_counters());
+        assert_eq!(d.seed(), s.seed());
+        assert_eq!(
+            d.engine().table_layout_fingerprint(),
+            s.engine().table_layout_fingerprint()
+        );
         for item in 0..999u64 {
             assert_eq!(d.estimate(item), s.estimate(item), "item {item}");
             assert_eq!(d.lower_bound(item), s.lower_bound(item));
@@ -374,8 +203,8 @@ mod tests {
 
     #[test]
     fn roundtrip_then_update_is_bit_identical() {
-        // The sampler state travels with the sketch, so future purges make
-        // identical decisions.
+        // The sampler state and the slot layout travel with the sketch,
+        // so future purges make identical decisions.
         let mut original = loaded_sketch();
         let bytes = original.serialize_to_bytes();
         let mut restored = FreqSketch::deserialize_from_bytes(&bytes).unwrap();
@@ -383,18 +212,14 @@ mod tests {
             original.update(i % 1733, 5);
             restored.update(i % 1733, 5);
         }
-        assert_eq!(original.maximum_error(), restored.maximum_error());
-        assert_eq!(original.num_purges(), restored.num_purges());
-        for item in 0..1733u64 {
-            assert_eq!(original.estimate(item), restored.estimate(item));
-        }
+        assert_eq!(original.serialize_to_bytes(), restored.serialize_to_bytes());
     }
 
     #[test]
     fn empty_sketch_roundtrip() {
         let s = FreqSketch::with_max_counters(64);
         let bytes = s.serialize_to_bytes();
-        assert_eq!(bytes.len(), 108, "empty sketch is header-only");
+        assert_eq!(bytes.len(), HEADER_LEN + 4, "empty sketch is header + CRC");
         let d = FreqSketch::deserialize_from_bytes(&bytes).unwrap();
         assert!(d.is_empty());
         assert_eq!(d.max_counters(), 64);
@@ -446,21 +271,25 @@ mod tests {
     #[test]
     fn rejects_reserved_flag_bits() {
         let mut bytes = loaded_sketch().serialize_to_bytes();
-        bytes[6] = 4; // bit 2 is reserved
+        bytes[5] = 4; // flags byte; bit 2 is reserved
         assert!(matches!(
-            FreqSketch::deserialize_from_bytes(&bytes),
+            FreqSketch::deserialize_from_bytes(&reseal(bytes)),
             Err(Error::Corrupt(_))
         ));
     }
 
     #[test]
     fn rejects_bad_magic() {
-        let mut bytes = loaded_sketch().serialize_to_bytes();
-        bytes[0] = b'X';
-        assert!(matches!(
-            FreqSketch::deserialize_from_bytes(&bytes),
-            Err(Error::Corrupt(_))
-        ));
+        // Another format's magic is refused even with an intact
+        // checksum.
+        for magic in [b"SFMF", b"XFCK"] {
+            let mut bytes = loaded_sketch().serialize_to_bytes();
+            bytes[..4].copy_from_slice(magic);
+            assert!(matches!(
+                FreqSketch::deserialize_from_bytes(&reseal(bytes)),
+                Err(Error::Corrupt(_))
+            ));
+        }
     }
 
     #[test]
@@ -468,7 +297,7 @@ mod tests {
         let mut bytes = loaded_sketch().serialize_to_bytes();
         bytes[4] = 9;
         assert!(matches!(
-            FreqSketch::deserialize_from_bytes(&bytes),
+            FreqSketch::deserialize_from_bytes(&reseal(bytes)),
             Err(Error::UnsupportedVersion(9))
         ));
     }
@@ -476,7 +305,7 @@ mod tests {
     #[test]
     fn rejects_truncation_at_every_prefix_length() {
         let bytes = loaded_sketch().serialize_to_bytes();
-        for cut in [0, 1, 50, HEADER_LEN - 1, HEADER_LEN + 1, bytes.len() - 1] {
+        for cut in 0..bytes.len() {
             let err = FreqSketch::deserialize_from_bytes(&bytes[..cut]);
             assert!(err.is_err(), "prefix of {cut} bytes accepted");
         }
@@ -484,25 +313,22 @@ mod tests {
 
     #[test]
     fn rejects_trailing_garbage() {
-        let mut bytes = loaded_sketch().serialize_to_bytes();
-        bytes.push(0);
+        let bytes = loaded_sketch().serialize_to_bytes();
+        let mut appended = bytes.clone();
+        appended.push(0);
+        assert!(FreqSketch::deserialize_from_bytes(&appended).is_err());
+        // Garbage inside the checksummed body is caught by the framing.
+        let mut inside = bytes;
+        inside.insert(inside.len() - 4, 0);
         assert!(matches!(
-            FreqSketch::deserialize_from_bytes(&bytes),
+            FreqSketch::deserialize_from_bytes(&reseal(inside)),
             Err(Error::Corrupt(_))
         ));
     }
 
     #[test]
     fn rejects_zero_counter_value() {
-        let s = {
-            let mut s = FreqSketch::with_max_counters(8);
-            s.update(1, 5);
-            s
-        };
-        let mut bytes = s.serialize_to_bytes();
-        // zero out the count of the single counter (last 8 bytes)
-        let n = bytes.len();
-        bytes[n - 8..].fill(0);
+        let bytes = with_last_count(one_counter_sketch().serialize_to_bytes(), 0);
         assert!(matches!(
             FreqSketch::deserialize_from_bytes(&bytes),
             Err(Error::Corrupt(_))
@@ -511,17 +337,9 @@ mod tests {
 
     #[test]
     fn rejects_counter_value_beyond_i64() {
-        // Regression for the formerly unchecked `count as i64`: a wire
-        // count past i64::MAX must surface as a decode error, not a
-        // negative counter smuggled into the table.
-        let s = {
-            let mut s = FreqSketch::with_max_counters(8);
-            s.update(1, 5);
-            s
-        };
-        let mut bytes = s.serialize_to_bytes();
-        let n = bytes.len();
-        bytes[n - 8..].copy_from_slice(&u64::MAX.to_le_bytes());
+        // A wire count past i64::MAX must surface as a decode error, not
+        // a negative counter smuggled into the table.
+        let bytes = with_last_count(one_counter_sketch().serialize_to_bytes(), u64::MAX);
         assert!(matches!(
             FreqSketch::deserialize_from_bytes(&bytes),
             Err(Error::Corrupt(_))
@@ -530,18 +348,11 @@ mod tests {
 
     #[test]
     fn rejects_counter_mass_exceeding_stream_weight() {
-        // SFQ1 carries no checksum, so a flipped count byte decodes
-        // cleanly field by field — the whole-engine audit at the end of
-        // decode is what catches the mass-conservation violation
-        // (counter total above the recorded stream weight).
-        let s = {
-            let mut s = FreqSketch::with_max_counters(8);
-            s.update(1, 5);
-            s
-        };
-        let mut bytes = s.serialize_to_bytes();
-        let n = bytes.len();
-        bytes[n - 8..].copy_from_slice(&1_000_000u64.to_le_bytes());
+        // With a valid checksum every field decodes individually; the
+        // whole-engine audit at the end of decode is what catches the
+        // mass-conservation violation (counter total above the recorded
+        // stream weight).
+        let bytes = with_last_count(one_counter_sketch().serialize_to_bytes(), 1_000_000);
         assert!(matches!(
             FreqSketch::deserialize_from_bytes(&bytes),
             Err(Error::Corrupt(_))
@@ -550,12 +361,12 @@ mod tests {
 
     #[test]
     fn rejects_all_zero_sampler_state() {
-        // Regression: this used to reach `Xoshiro256StarStar::from_state`
-        // and panic instead of returning a decode error.
+        // `Xoshiro256StarStar::from_state` asserts on this; hostile bytes
+        // must surface as a decode error, not a panic.
         let mut bytes = loaded_sketch().serialize_to_bytes();
-        bytes[72..104].fill(0); // the four sampler state words
+        bytes[SAMPLER].fill(0);
         assert!(matches!(
-            FreqSketch::deserialize_from_bytes(&bytes),
+            FreqSketch::deserialize_from_bytes(&reseal(bytes)),
             Err(Error::Corrupt(_))
         ));
     }
@@ -563,9 +374,9 @@ mod tests {
     #[test]
     fn rejects_bad_policy_tag() {
         let mut bytes = loaded_sketch().serialize_to_bytes();
-        bytes[5] = 42;
+        bytes[POLICY_TAG_AT] = 42;
         assert!(matches!(
-            FreqSketch::deserialize_from_bytes(&bytes),
+            FreqSketch::deserialize_from_bytes(&reseal(bytes)),
             Err(Error::Corrupt(_))
         ));
     }
@@ -577,6 +388,6 @@ mod tests {
             s.update(i, 1);
         }
         let bytes = s.serialize_to_bytes();
-        assert_eq!(bytes.len(), 108 + 10 * 16);
+        assert_eq!(bytes.len(), HEADER_LEN + 10 * ENTRY_LEN + 4);
     }
 }

@@ -524,25 +524,6 @@ impl<K: SketchKey> SketchEngine<K> {
         }
     }
 
-    /// Decode-path insertion for the wire codecs: inserts a counter,
-    /// growing but never purging, and rejects duplicate items (each may
-    /// appear once in an encoding). The caller guarantees the total
-    /// counter count stays within `max_counters`, so the capacity loop
-    /// can only grow.
-    pub(crate) fn feed_for_decode(&mut self, item: K, count: i64) -> Result<(), Error> {
-        use crate::table::Upsert;
-        if self.table.get(&item).is_some() {
-            return Err(Error::Corrupt("duplicate item in encoding".into()));
-        }
-        let outcome = self.table.adjust_or_insert(item, count);
-        debug_assert_eq!(outcome, Upsert::Inserted);
-        while self.table.num_active() > self.capacity_now() {
-            debug_assert!(self.lg_cur < self.lg_max, "decode path cannot purge");
-            self.grow();
-        }
-        Ok(())
-    }
-
     /// Doubles the table, rehashing all counters through the prefetching
     /// batch path (rehash is pure random access over the new table, the
     /// best case for prefetching).

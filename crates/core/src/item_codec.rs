@@ -1,5 +1,6 @@
-//! Byte-level encoding of sketch item types, used by
-//! [`crate::ItemsSketch`]'s wire format.
+//! Byte-level encoding of sketch item types, used by the engine byte
+//! form ([`crate::codec`], via [`crate::persist::checkpoint`]) and the
+//! WAL frames.
 //!
 //! The `u64` sketch has a fixed-width key encoding; arbitrary item types
 //! need a serializer. [`ItemCodec`] is deliberately tiny — two methods, no
@@ -83,9 +84,10 @@ pub trait ItemCodec: Sized {
 
     /// Appends a size-optimized encoding of `self` — varints for
     /// integers, varint length prefixes for strings and byte vectors.
-    /// Used by the v2 WAL frame format, where item bytes dominate;
-    /// checkpoint and sketch wire formats keep the fixed-width
-    /// [`ItemCodec::encode`]. Defaults to the fixed encoding.
+    /// Used by the v2 WAL frame format, where item bytes dominate; the
+    /// engine byte form (checkpoints, sketch bytes) keeps the
+    /// fixed-width [`ItemCodec::encode`]. Defaults to the fixed
+    /// encoding.
     fn encode_compact(&self, out: &mut Vec<u8>) {
         self.encode(out);
     }

@@ -45,7 +45,6 @@ use crate::error::Error;
 use crate::item_codec::ItemCodec;
 use crate::purge::PurgePolicy;
 use crate::result::{ErrorType, Row};
-use crate::rng::Xoshiro256StarStar;
 
 /// A weighted frequent-items sketch over arbitrary item types.
 ///
@@ -357,117 +356,24 @@ impl<T: SketchKey> Extend<(T, u64)> for ItemsSketch<T> {
     }
 }
 
-/// Wire format for item sketches (versioned, little-endian): the header
-/// mirrors [`crate::codec`]'s `u64` format with magic `"SFQI"`, followed
-/// by `(item, count)` entries where items use their [`ItemCodec`]
+/// The byte form of an item sketch is its engine's (see [`crate::codec`]):
+/// CRC-covered and slot-exact, with items in their [`ItemCodec`]
 /// encoding. Round-tripped sketches behave bit-identically, including
-/// future purges (the sampler state travels along).
+/// future purges.
 impl<T: SketchKey + ItemCodec> ItemsSketch<T> {
     /// Serializes the sketch into a fresh byte vector.
     pub fn serialize_to_bytes(&self) -> Vec<u8> {
-        use crate::codec::{policy_params, policy_tag};
-        let engine = &self.engine;
-        let mut out = Vec::new();
-        out.extend_from_slice(b"SFQI");
-        out.push(1u8); // version
-        out.push(policy_tag(&engine.policy));
-        // flags (bit 0: stream weight saturated; rest reserved, zero)
-        out.extend_from_slice(&[u8::from(engine.weight_saturated), 0]);
-        (engine.max_counters as u64).encode(&mut out);
-        engine.offset.encode(&mut out);
-        engine.stream_weight.encode(&mut out);
-        engine.num_updates.encode(&mut out);
-        engine.num_purges.encode(&mut out);
-        let (a, b) = policy_params(&engine.policy);
-        a.encode(&mut out);
-        b.encode(&mut out);
-        for word in engine.rng.state() {
-            word.encode(&mut out);
-        }
-        (engine.table.num_active() as u32).encode(&mut out);
-        for (item, count) in engine.table.iter() {
-            item.encode(&mut out);
-            (count as u64).encode(&mut out);
-        }
-        out
+        self.engine.serialize_to_bytes()
     }
 
     /// Reconstructs a sketch from [`Self::serialize_to_bytes`] output.
     ///
     /// # Errors
-    /// Returns [`Error::Corrupt`], [`Error::UnsupportedVersion`] or
-    /// [`Error::Truncated`] on malformed input; trailing bytes are
-    /// rejected.
+    /// As [`SketchEngine::deserialize_from_bytes`].
     pub fn deserialize_from_bytes(bytes: &[u8]) -> Result<Self, Error> {
-        use crate::codec::policy_from_wire;
-        let mut buf = bytes;
-        let magic: [u8; 4] = {
-            let mut m = [0u8; 4];
-            for slot in &mut m {
-                *slot = u8::decode(&mut buf)?;
-            }
-            m
-        };
-        if &magic != b"SFQI" {
-            return Err(Error::Corrupt(format!("bad magic {magic:02x?}")));
-        }
-        let version = u8::decode(&mut buf)?;
-        if version != 1 {
-            return Err(Error::UnsupportedVersion(version));
-        }
-        let tag = u8::decode(&mut buf)?;
-        let flags = u16::decode(&mut buf)?;
-        if flags > 1 {
-            return Err(Error::Corrupt("nonzero reserved flag bits".into()));
-        }
-        let max_counters = usize::try_from(u64::decode(&mut buf)?)
-            .map_err(|_| Error::Corrupt("max_counters exceeds usize".into()))?;
-        let offset = u64::decode(&mut buf)?;
-        let stream_weight = u64::decode(&mut buf)?;
-        let num_updates = u64::decode(&mut buf)?;
-        let num_purges = u64::decode(&mut buf)?;
-        let a = u64::decode(&mut buf)?;
-        let b = u64::decode(&mut buf)?;
-        let policy = policy_from_wire(tag, a, b)?;
-        let mut state = [0u64; 4];
-        for word in &mut state {
-            *word = u64::decode(&mut buf)?;
-        }
-        if state == [0; 4] {
-            return Err(Error::Corrupt("invalid all-zero sampler state".into()));
-        }
-        let num_active = u32::decode(&mut buf)? as usize;
-        if num_active > max_counters {
-            return Err(Error::Corrupt(format!(
-                "{num_active} counters exceed capacity {max_counters}"
-            )));
-        }
-        let mut sketch = ItemsSketch::try_new(max_counters, policy, 0)?;
-        for _ in 0..num_active {
-            let item = T::decode(&mut buf)?;
-            let count = u64::decode(&mut buf)?;
-            if count == 0 || count > i64::MAX as u64 {
-                return Err(Error::Corrupt(format!(
-                    "counter value {count} out of range"
-                )));
-            }
-            // Growth-only insertion: num_active ≤ max_counters guarantees
-            // no purge can trigger; duplicates are rejected.
-            sketch.engine.feed_for_decode(item, count as i64)?;
-        }
-        if !buf.is_empty() {
-            return Err(Error::Corrupt("trailing bytes after counters".into()));
-        }
-        sketch.engine.offset = offset;
-        sketch.engine.stream_weight = stream_weight;
-        sketch.engine.weight_saturated = flags & 1 != 0;
-        sketch.engine.num_updates = num_updates;
-        sketch.engine.num_purges = num_purges;
-        sketch.engine.rng = Xoshiro256StarStar::from_state(state);
-        // Final gate: whole-engine invariants (capacity, mass
-        // conservation) must hold for the decoded state.
-        sketch.engine.audit().map_err(Error::Corrupt)?;
-        Ok(sketch)
+        Ok(ItemsSketch {
+            engine: SketchEngine::deserialize_from_bytes(bytes)?,
+        })
     }
 }
 
@@ -592,15 +498,27 @@ mod tests {
 
     #[test]
     fn stream_weight_saturates_and_roundtrips() {
-        let mut s: ItemsSketch<u32> = ItemsSketch::with_max_counters(8);
+        let mut s: ItemsSketch<u32> = ItemsSketch::try_new(8, PurgePolicy::smed(), 4242).unwrap();
         s.update(1, i64::MAX as u64);
         s.update(2, i64::MAX as u64);
         s.update(3, 9);
         assert!(s.stream_weight_saturated());
         assert_eq!(s.stream_weight(), u64::MAX);
+        // The error offset saturates too, and the seed is not the default.
+        let mut saturating: ItemsSketch<u32> = ItemsSketch::with_max_counters(8);
+        saturating.engine.offset = u64::MAX - 1;
+        s.merge(&saturating);
+        s.merge(&saturating);
+        assert!(s.engine().maximum_error_saturated());
         let restored = ItemsSketch::<u32>::deserialize_from_bytes(&s.serialize_to_bytes()).unwrap();
         assert!(restored.stream_weight_saturated());
         assert_eq!(restored.stream_weight(), u64::MAX);
+        assert!(restored.engine().maximum_error_saturated());
+        assert_eq!(restored.seed(), 4242);
+        assert_eq!(
+            restored.engine().state_fingerprint(),
+            s.engine().state_fingerprint()
+        );
     }
 
     #[test]

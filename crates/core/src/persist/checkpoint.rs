@@ -1,20 +1,21 @@
-//! Atomic, slot-exact engine checkpoints.
+//! Atomic, slot-exact engine checkpoints — and the one byte form of
+//! every sketch engine.
 //!
 //! A checkpoint is one self-validating file carrying the *complete*
 //! engine state: configuration, bookkeeping (offset, stream weight,
 //! operation counts, saturation flags), the purge-sampler state, and the
 //! counter table **slot for slot**. The whole file is covered by a
 //! trailing CRC-32C, so any truncation or bit flip is detected before a
-//! single field is trusted (contrast with the bare wire codecs of
-//! [`crate::codec`]/[`crate::item_codec`], where a flipped counter byte
-//! decodes to a different-but-well-formed sketch).
+//! single field is trusted. The same bytes with epoch 0 are what
+//! [`crate::codec`]'s `serialize_to_bytes` produces for sketch files,
+//! cluster `SNAP` payloads and window buckets.
 //!
 //! ## Why slot-exact?
 //!
-//! The wire codecs rebuild the table by re-inserting counters through
-//! the normal probe path. That is operationally sound but not
-//! layout-preserving: a probe cluster that wrapped around the end of the
-//! table re-inserts at its unwrapped home slots. Layout feeds the purge
+//! Rebuilding a table by re-inserting counters through the normal probe
+//! path is operationally sound but not layout-preserving: a probe
+//! cluster that wrapped around the end of the table re-inserts at its
+//! unwrapped home slots. Layout feeds the purge
 //! sampler (values are sampled by slot position), so a refeed-rebuilt
 //! engine can purge differently from the original — fatal for the
 //! recovery contract that `checkpoint ⊕ replay` equals an uninterrupted
@@ -236,7 +237,8 @@ pub fn decode_checkpoint<K: SketchKey + ItemCodec>(
     let mut engine = SketchEngineBuilder::<K>::new(max_counters)
         .policy(info.policy)
         .seed(info.seed)
-        .build()?;
+        .build()
+        .map_err(|e| Error::Corrupt(e.to_string()))?;
     if lg_cur < engine.lg_cur || lg_cur > engine.lg_max {
         return Err(Error::Corrupt(format!(
             "table size 2^{lg_cur} outside the engine's 2^{}..=2^{} range",
@@ -427,8 +429,8 @@ mod tests {
 
     #[test]
     fn every_bit_flip_is_rejected() {
-        // The CRC makes corruption loud: unlike the bare wire codecs, a
-        // flipped counter byte cannot decode into a plausible sketch.
+        // The CRC makes corruption loud: a flipped counter byte cannot
+        // decode into a plausible sketch.
         let e = loaded_engine(11);
         let bytes = encode_checkpoint(&e, 4);
         for i in 0..bytes.len() {

@@ -21,8 +21,8 @@
 //!
 //! All of the algorithmic machinery lives in the generic
 //! [`SketchEngine`]; `FreqSketch` is the
-//! `u64`-keyed instantiation with by-value query ergonomics and the
-//! versioned wire format of [`crate::codec`]. The instantiation is
+//! `u64`-keyed instantiation with by-value query ergonomics; its byte
+//! form is the engine's ([`crate::codec`]). The instantiation is
 //! zero-overhead: the `u64` hash inlines to the SplitMix64 finalizer and
 //! keys are stored in a dense `Vec<u64>`, exactly as the pre-engine
 //! specialized implementation stored them.

@@ -25,12 +25,13 @@
 //! `decode-*` rules run only in non-test code, inside functions whose
 //! names mark them as decode/recovery paths (`decode*`, `read*`,
 //! `parse*`, `recover*`, `load*`, `open*`, `verify*`, ...), in
-//! `codec.rs`, `item_codec.rs`, `persist/`, and the cluster wire-facing
-//! files (anything under `cluster/`, plus the CLI's `cluster.rs` fan-out
-//! client — topology files and node responses are untrusted input). The
-//! arithmetic, index, and cast rules are further restricted to the
-//! byte-level files (`codec.rs`, `item_codec.rs`,
-//! `persist/{wal,checkpoint,mod,store}.rs`,
+//! `codec.rs`, `item_codec.rs`, `persist/`, the apps crate's
+//! `window.rs` (the SFWS bucket-store decoder), and the cluster
+//! wire-facing files (anything under `cluster/`, plus the CLI's
+//! `cluster.rs` fan-out client — topology files and node responses are
+//! untrusted input). The arithmetic, index, and cast rules are further
+//! restricted to the byte-level files (`codec.rs`, `item_codec.rs`,
+//! `apps/src/window.rs`, `persist/{wal,checkpoint,mod,store}.rs`,
 //! `cluster/{topology,wire}.rs`) — the orchestration files
 //! (`recover.rs`, `group.rs`, `cluster/ring.rs`) do no raw byte math,
 //! and flagging every loop counter there would drown the signal.
@@ -145,13 +146,17 @@ pub fn classify(rel_path: &str) -> FileClass {
     let file_name = rel.rsplit('/').next().unwrap_or(rel.as_str());
     let in_persist = rel.contains("/persist/") || rel.starts_with("persist/");
     let in_cluster = rel.contains("/cluster/") || rel.starts_with("cluster/");
+    // The windowed bucket store's SFWS decoder reads files from disk.
+    let window_store = rel.ends_with("apps/src/window.rs");
     let decode_file = file_name == "codec.rs"
         || file_name == "item_codec.rs"
         || in_persist
         || in_cluster
-        || file_name == "cluster.rs";
+        || file_name == "cluster.rs"
+        || window_store;
     let byte_level = file_name == "codec.rs"
         || file_name == "item_codec.rs"
+        || window_store
         || (in_persist
             && matches!(
                 file_name,
@@ -809,6 +814,18 @@ mod tests {
         "#;
         let found = findings("crates/core/src/cluster/wire.rs", src);
         assert_eq!(rules_of(&found), vec!["decode-panic"], "{found:?}");
+    }
+
+    #[test]
+    fn window_store_is_decode_scoped() {
+        let window = classify("crates/apps/src/window.rs");
+        assert!(window.decode_file && window.byte_level);
+        assert!(!classify("crates/apps/src/decayed.rs").decode_file);
+        let src = r#"
+            fn deserialize_from_bytes(buf: &[u8]) -> usize { buf.len() as usize }
+        "#;
+        let found = findings("crates/apps/src/window.rs", src);
+        assert_eq!(rules_of(&found), vec!["decode-cast"], "{found:?}");
     }
 
     #[test]
