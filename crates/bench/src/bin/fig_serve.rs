@@ -45,7 +45,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use streamfreq_bench::{parse_flag, print_header};
-use streamfreq_cli::serve::{encode_binary_request, run_serve, ServeOptions, BINARY_MAGIC};
+use streamfreq_cli::protocol::Query;
+use streamfreq_cli::serve::{run_serve, ServeOptions, BINARY_MAGIC};
 use streamfreq_core::{ConcurrentSketch, FsyncPolicy, PurgePolicy, ShardedSketch};
 use streamfreq_workloads::{save_binary, CaidaConfig, SyntheticCaida};
 
@@ -267,12 +268,11 @@ fn run_protocol(
     // back to back while this thread drains replies, so the socket
     // never runs dry and in-flight depth is bounded by the kernel
     // socket buffers plus the server's write high-water mark.
-    let request = vec!["EST".to_string(), probe.to_string()];
     let queries = rounds * PIPELINE as u64;
     let seconds = if binary {
         let mut block = Vec::new();
         for _ in 0..PIPELINE {
-            encode_binary_request(&request, &mut block).expect("encode EST frame");
+            Query::Est(probe).write_binary(&mut block);
         }
         conn.write_all(BINARY_MAGIC).expect("send magic");
         let start = Instant::now();

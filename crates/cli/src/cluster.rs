@@ -19,7 +19,8 @@
 //!   merged bank's error band is certified: per-node offsets add,
 //!   stream weights add.
 //! * [`run_cluster_serve`] — a front node serving the text protocol
-//!   from a periodically refreshed merged view.
+//!   from a periodically refreshed merged view, one connection at a
+//!   time, with serve's 4 KiB request-line cap.
 //! * [`run_cluster_replicate`] — copies a durable node's store
 //!   (checkpoint + WAL tail) over `REPL`/`FETCH` into a local replica
 //!   directory that `serve --data-dir` recovers exactly.
@@ -27,11 +28,16 @@
 //!   (epoch + 1). Ring placement keys on node *ids*, so promotion
 //!   changes where a node's slice is served without moving any keys.
 //!
+//! Both query verbs answer through [`crate::protocol`], the codec
+//! `serve` uses, so a cluster answer is byte-for-byte a single-node
+//! answer on the merged bank; only the STATS body is the cluster's own.
+//!
 //! Node responses are untrusted bytes: frame reads are length-capped
-//! and all payload decoding goes through the defensive
+//! (`query-remote --binary` reads through the same cap) and all payload
+//! decoding goes through the defensive
 //! [`streamfreq_core::cluster::wire`] codecs.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -39,10 +45,11 @@ use std::time::{Duration, Instant};
 use streamfreq_core::cluster::wire::{self, MAX_INGEST_BATCH};
 use streamfreq_core::cluster::Topology;
 use streamfreq_core::persist::MAX_SHIP_CHUNK;
-use streamfreq_core::{ErrorType, FreqSketch, PurgePolicy, SketchEngine};
+use streamfreq_core::{FreqSketch, PurgePolicy, SketchEngine};
 use streamfreq_workloads::load_binary;
 
-use crate::serve::{opcode, BINARY_MAGIC};
+use crate::protocol::{self, Query, Reply, MAX_TEXT_LINE};
+use crate::serve::{node_opcode, BINARY_MAGIC};
 use crate::CliError;
 
 /// Connects to `addr` with a connect timeout, retrying failed
@@ -220,7 +227,7 @@ impl NodeConn {
 
 /// Reads one `[len u32le | status | payload]` response frame from an
 /// untrusted node, rejecting hostile lengths before allocating.
-fn read_frame_capped(reader: &mut impl Read) -> std::io::Result<(u8, Vec<u8>)> {
+pub(crate) fn read_frame_capped(reader: &mut impl Read) -> std::io::Result<(u8, Vec<u8>)> {
     let mut header = [0u8; 4];
     reader.read_exact(&mut header)?;
     let frame_len = usize::try_from(u32::from_le_bytes(header))
@@ -281,7 +288,7 @@ pub fn run_cluster_ingest(opts: &ClusterIngestOptions) -> Result<String, CliErro
         let weight: u64 = slice.iter().map(|&(_, w)| w).sum();
         let mut applied: u64 = 0;
         for chunk in slice.chunks(batch_size) {
-            let reply = conn.request(opcode::INGEST, &wire::encode_ingest_batch(chunk))?;
+            let reply = conn.request(node_opcode::INGEST, &wire::encode_ingest_batch(chunk))?;
             let Ok(raw) = <[u8; 8]>::try_from(reply.as_slice()) else {
                 return Err(CliError::Net(
                     spec.addr.clone(),
@@ -335,7 +342,7 @@ fn fan_out_snapshots(
     let mut engines = Vec::new();
     for spec in topology.nodes() {
         let mut conn = NodeConn::open(&spec.addr, timeout_ms, retries)?;
-        let payload = conn.request(opcode::SNAP, &[])?;
+        let payload = conn.request(node_opcode::SNAP, &[])?;
         let snap = wire::decode_snapshot(&payload)
             .map_err(|e| CliError::Sketch(PathBuf::from(&spec.addr), e))?;
         views.push(NodeView {
@@ -370,77 +377,18 @@ fn merge_engines(
     Ok(merged)
 }
 
-/// Formats one result row exactly like the text protocol.
-fn merged_row(row: &streamfreq_core::Row<u64>) -> String {
-    format!(
-        "{} {} {} {}\n",
-        row.item, row.estimate, row.lower_bound, row.upper_bound
-    )
-}
-
-/// Answers one query against a merged bank in the text protocol's
-/// shape (`OK ...`), so cluster answers and single-node answers are
-/// comparable byte for byte.
-fn answer_merged(merged: &FreqSketch, tokens: &[String], nodes: usize) -> Result<String, CliError> {
-    let usage = |msg: &str| CliError::Usage(msg.into());
-    let Some(command) = tokens.first() else {
-        return Err(usage("empty cluster query"));
-    };
-    match command.to_ascii_uppercase().as_str() {
-        "EST" => {
-            let [_, item] = tokens else {
-                return Err(usage("usage: EST <item>"));
-            };
-            let item: u64 = item.parse().map_err(|_| usage("bad EST item"))?;
-            Ok(format!(
-                "OK {} {} {}\n",
-                merged.estimate(item),
-                merged.lower_bound(item),
-                merged.upper_bound(item)
-            ))
-        }
-        "TOPK" => {
-            let [_, n] = tokens else {
-                return Err(usage("usage: TOPK <n>"));
-            };
-            let n: usize = n.parse().map_err(|_| usage("bad TOPK row count"))?;
-            if n == 0 {
-                return Err(usage("TOPK row count must be positive"));
-            }
-            let rows = merged.top_k(n);
-            let mut reply = format!("OK {}\n", rows.len());
-            for row in &rows {
-                reply.push_str(&merged_row(row));
-            }
-            Ok(reply)
-        }
-        "HH" => {
-            let (phi, contract) = match tokens {
-                [_, phi] => (phi, ErrorType::NoFalseNegatives),
-                [_, phi, c] if c == "nfp" => (phi, ErrorType::NoFalsePositives),
-                [_, phi, c] if c == "nfn" => (phi, ErrorType::NoFalseNegatives),
-                _ => return Err(usage("usage: HH <phi> [nfp|nfn]")),
-            };
-            let phi: f64 = phi.parse().map_err(|_| usage("bad HH phi"))?;
-            if !(0.0..=1.0).contains(&phi) {
-                return Err(usage("HH phi outside [0, 1]"));
-            }
-            let rows = merged.heavy_hitters(phi, contract);
-            let mut reply = format!("OK {}\n", rows.len());
-            for row in &rows {
-                reply.push_str(&merged_row(row));
-            }
-            Ok(reply)
-        }
-        "STATS" => Ok(format!(
-            "OK n={} counters={} max_error={} nodes={nodes}\n",
+/// Answers one query from the merged bank. STATS reports the merged
+/// totals; every other verb is [`protocol::answer`] on the merged
+/// engine, exactly as a single node answers it.
+fn answer_cluster(merged: &FreqSketch, query: &Query, nodes: usize) -> Reply {
+    match query {
+        Query::Stats => Reply::Stats(format!(
+            "n={} counters={} max_error={} nodes={nodes}",
             merged.stream_weight(),
             merged.num_counters(),
             merged.maximum_error()
         )),
-        other => Err(usage(&format!(
-            "unknown cluster query `{other}` (EST | TOPK | HH | STATS)"
-        ))),
+        query => protocol::answer(merged.engine(), query),
     }
 }
 
@@ -475,10 +423,14 @@ fn cluster_diagnostics(merged: &FreqSketch, views: &[NodeView]) -> String {
 /// # Errors
 /// [`CliError`] on topology, node, or query errors.
 pub fn run_cluster_query(opts: &ClusterQueryOptions) -> Result<String, CliError> {
+    let query = Query::parse_line(&opts.request.join(" ")).map_err(CliError::Usage)?;
     let topology = load_topology(&opts.topology)?;
     let (views, engines) = fan_out_snapshots(&topology, opts.timeout_ms, opts.retries)?;
     let merged = merge_engines(opts.k, opts.policy, opts.seed, engines)?;
-    let mut out = answer_merged(&merged, &opts.request, views.len())?;
+    let mut out = match answer_cluster(&merged, &query, views.len()) {
+        Reply::Err(reason) => return Err(CliError::Usage(reason)),
+        reply => reply.to_string(),
+    };
     out.push_str(&cluster_diagnostics(&merged, &views));
     Ok(out)
 }
@@ -514,7 +466,7 @@ pub fn run_cluster_serve(opts: &ClusterServeOptions) -> Result<String, CliError>
         // A client that connects and never sends must not wedge the
         // front node (the same hang class query-remote's timeout fixes).
         let _ = stream.set_read_timeout(Some(Duration::from_millis(opts.timeout_ms.max(1))));
-        let mut reader = std::io::BufReader::new(match stream.try_clone() {
+        let mut reader = BufReader::new(match stream.try_clone() {
             Ok(clone) => clone,
             Err(_) => continue,
         });
@@ -522,48 +474,49 @@ pub fn run_cluster_serve(opts: &ClusterServeOptions) -> Result<String, CliError>
         let mut line = String::new();
         loop {
             line.clear();
-            match std::io::BufRead::read_line(&mut reader, &mut line) {
-                Ok(0) => break,
+            // One byte past the cap tells an overlong line from a full
+            // one, without ever buffering more.
+            match (&mut reader)
+                .take(MAX_TEXT_LINE as u64 + 1)
+                .read_line(&mut line)
+            {
+                Ok(0) | Err(_) => break,
                 Ok(_) => {}
-                Err(_) => break,
             }
-            let tokens: Vec<String> = line.split_whitespace().map(String::from).collect();
-            let command = tokens
-                .first()
-                .map(|c| c.to_ascii_uppercase())
-                .unwrap_or_default();
-            if command == "QUIT" {
-                let _ = stream.write_all(b"OK bye\n");
-                break 'accept;
+            if line.len() > MAX_TEXT_LINE && !line.ends_with('\n') {
+                let _ = stream.write_all(Reply::overlong_line().to_string().as_bytes());
+                break;
             }
-            queries += 1;
-            let stale = cached
-                .as_ref()
-                .map(|(at, _, _)| at.elapsed() >= refresh)
-                .unwrap_or(true);
-            if stale {
-                match fan_out_snapshots(&topology, opts.timeout_ms, opts.retries).and_then(
-                    |(views, engines)| {
-                        merge_engines(opts.k, opts.policy, opts.seed, engines)
-                            .map(|merged| (views, merged))
-                    },
-                ) {
-                    Ok((views, merged)) => cached = Some((Instant::now(), merged, views)),
-                    Err(e) => {
-                        let _ = stream.write_all(format!("ERR refresh failed: {e}\n").as_bytes());
-                        continue;
+            let reply = match Query::parse_line(&line) {
+                Ok(Query::Quit) => {
+                    let _ = stream.write_all(Reply::Bye.to_string().as_bytes());
+                    break 'accept;
+                }
+                Ok(query) => {
+                    queries += 1;
+                    // A failed refresh drops the stale view too: the next
+                    // query refreshes again either way.
+                    let view = match cached.take() {
+                        Some(view) if view.0.elapsed() < refresh => Ok(view),
+                        _ => fan_out_snapshots(&topology, opts.timeout_ms, opts.retries).and_then(
+                            |(views, engines)| {
+                                merge_engines(opts.k, opts.policy, opts.seed, engines)
+                                    .map(|merged| (Instant::now(), merged, views))
+                            },
+                        ),
+                    };
+                    match view {
+                        Ok(view) => {
+                            let reply = answer_cluster(&view.1, &query, view.2.len());
+                            cached = Some(view);
+                            reply
+                        }
+                        Err(e) => Reply::Err(format!("refresh failed: {e}")),
                     }
                 }
-            }
-            let Some((_, merged, views)) = cached.as_ref() else {
-                let _ = stream.write_all(b"ERR no merged view\n");
-                continue;
+                Err(reason) => Reply::Err(reason),
             };
-            let reply = match answer_merged(merged, &tokens, views.len()) {
-                Ok(reply) => reply,
-                Err(e) => format!("ERR {e}\n"),
-            };
-            if stream.write_all(reply.as_bytes()).is_err() {
+            if stream.write_all(reply.to_string().as_bytes()).is_err() {
                 break;
             }
         }
@@ -589,13 +542,13 @@ pub fn run_cluster_replicate(opts: &ClusterReplicateOptions) -> Result<String, C
     std::fs::create_dir_all(&opts.dir).map_err(|e| CliError::Io(opts.dir.clone(), e))?;
     let mut out = format!("replicating {addr} into {}\n", opts.dir.display());
     if opts.checkpoint {
-        let reply = conn.request(opcode::CKPT, &[])?;
+        let reply = conn.request(protocol::opcode::CKPT, &[])?;
         let epoch = <[u8; 8]>::try_from(reply.as_slice())
             .map(u64::from_le_bytes)
             .unwrap_or(0);
         out.push_str(&format!("leader checkpointed at epoch {epoch}\n"));
     }
-    let manifest_bytes = conn.request(opcode::REPL, &[])?;
+    let manifest_bytes = conn.request(node_opcode::REPL, &[])?;
     let manifest = wire::decode_file_list(&manifest_bytes)
         .map_err(|e| CliError::Sketch(PathBuf::from(&addr), e))?;
     let persist_err = |e| CliError::Persist(opts.dir.clone(), e);
@@ -617,7 +570,7 @@ pub fn run_cluster_replicate(opts: &ClusterReplicateOptions) -> Result<String, C
             continue;
         }
         while have < *advertised {
-            let reply = conn.request(opcode::FETCH, &wire::encode_fetch_request(have, rel))?;
+            let reply = conn.request(node_opcode::FETCH, &wire::encode_fetch_request(have, rel))?;
             if reply.is_empty() {
                 return Err(CliError::Net(
                     addr.clone(),

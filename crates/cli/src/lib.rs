@@ -10,6 +10,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 pub mod cluster;
+pub mod protocol;
 pub mod serve;
 
 use streamfreq_apps::WindowedStore;
@@ -2286,9 +2287,11 @@ mod tests {
 
     #[test]
     fn serve_binary_protocol_pipelines_and_matches_text() {
+        use crate::protocol::Query;
         use std::io::Write;
         use std::net::TcpStream;
         use std::time::{Duration, Instant};
+        use streamfreq_core::ErrorType;
 
         let stream_path = tmp("serve-bin.bin");
         run(&Command::Synth {
@@ -2352,12 +2355,11 @@ mod tests {
         let mut wire = serve::BINARY_MAGIC.to_vec();
         const PIPELINED: usize = 257;
         for _ in 0..PIPELINED {
-            serve::encode_binary_request(&["EST".into(), heaviest.to_string()], &mut wire).unwrap();
+            Query::Est(heaviest).write_binary(&mut wire);
         }
-        serve::encode_binary_request(&["TOPK".into(), "3".into()], &mut wire).unwrap();
-        serve::encode_binary_request(&["HH".into(), "0.5".into(), "nfp".into()], &mut wire)
-            .unwrap();
-        serve::encode_binary_request(&["STATS".into()], &mut wire).unwrap();
+        Query::TopK(3).write_binary(&mut wire);
+        Query::Hh(0.5, ErrorType::NoFalsePositives).write_binary(&mut wire);
+        Query::Stats.write_binary(&mut wire);
         conn.write_all(&wire).unwrap();
 
         // Every EST reply decodes to the text protocol's numbers.
@@ -2410,6 +2412,22 @@ mod tests {
         })
         .unwrap();
         assert_eq!(remote.trim(), text_est[0], "binary EST rendering");
+        // Result rows render the same through either protocol.
+        for request in ["TOPK 3", "HH 0.01 nfp", "hh 0.01"] {
+            let remote = |binary| {
+                run(&Command::QueryRemote {
+                    port,
+                    request: args(request),
+                    binary,
+                    timeout_ms: serve::DEFAULT_REMOTE_TIMEOUT_MS,
+                    retries: 0,
+                })
+                .unwrap()
+            };
+            let text = remote(false);
+            assert!(!text.starts_with("OK 0\n"), "{request}: no rows in {text}");
+            assert_eq!(remote(true), text, "binary {request} rendering");
+        }
         let remote_stats = run(&Command::QueryRemote {
             port,
             request: vec!["STATS".into()],
@@ -2435,6 +2453,24 @@ mod tests {
         for p in [stream_path, port_file] {
             let _ = std::fs::remove_file(p);
         }
+    }
+
+    #[test]
+    fn cluster_query_refuses_topk_beyond_the_cap() {
+        let err = run(&Command::ClusterQuery(cluster::ClusterQueryOptions {
+            topology: tmp("cap-no-such-topology.sftopo"),
+            k: 64,
+            policy: PurgePolicy::smed(),
+            seed: 1,
+            request: args("TOPK 100001"),
+            timeout_ms: 100,
+            retries: 0,
+        }))
+        .unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(msg) if msg.contains("outside 1..=100000")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -25,41 +25,15 @@
 //! pending, parks the loop instead of spinning it. An answer therefore
 //! leaves as soon as its request arrives, with no sleep between them.
 //!
-//! A text-protocol line longer than 4 KiB gets an `ERR` reply and
-//! closes its connection.
+//! The verbs, both wire formats and their bounds are defined once in
+//! [`crate::protocol`]; a text line longer than 4 KiB gets an `ERR`
+//! reply and closes its connection. Binary requests may be pipelined
+//! back to back without waiting for replies; responses come back in
+//! request order. Besides the query verbs, the binary protocol carries
+//! the node-only opcodes of cluster mode (`node_opcode`).
 //!
-//! ### Text protocol
-//!
-//! Newline-delimited, one request per line, case-insensitive command
-//! word:
-//!
-//! | request | response |
-//! |---|---|
-//! | `EST <item>` | `OK <estimate> <lower> <upper>` |
-//! | `TOPK <n>` | `OK <m>` then `m` lines `<item> <estimate> <lower> <upper>` |
-//! | `HH <phi> [nfp\|nfn]` | `OK <m>` then `m` rows (contract default `nfn`) |
-//! | `STATS` | `OK epoch=<e> n=<N> counters=<c> max_error=<err> enqueued=<w> ingest_done=<0\|1> shards=<s> protocol=text` |
-//! | `CKPT` | `OK epoch=<e>` after a coordinated checkpoint round (durable servers) |
-//! | `QUIT` | `OK bye`, then the whole server shuts down gracefully |
-//! | anything else | `ERR <reason>` |
-//!
-//! ### Binary protocol
-//!
-//! After the `SFBP` magic, both directions carry length-prefixed
-//! frames: `[len u32le | tag u8 | payload]`, where `len` counts the tag
-//! byte plus the payload. Request tags are opcodes; response tags are a
-//! status byte (`0` = OK, `1` = ERR with a UTF-8 message payload).
-//! Requests may be pipelined back to back without waiting for replies;
-//! responses come back in request order.
-//!
-//! | opcode | request payload | OK payload |
-//! |---|---|---|
-//! | `0x01` EST | item `u64le` | estimate, lower, upper (`3 × u64le`) |
-//! | `0x02` TOPK | n `u32le` | count `u32le`, then count × (item, est, lower, upper `u64le`) |
-//! | `0x03` HH | phi `f64le`, contract `u8` (0 = nfn, 1 = nfp) | as TOPK |
-//! | `0x04` STATS | empty | the STATS key=value text (with `protocol=binary`) |
-//! | `0x05` CKPT | empty | epoch `u64le` |
-//! | `0x06` QUIT | empty | `bye` |
+//! `STATS` answers `epoch=<e> n=<N> counters=<c> max_error=<err>
+//! enqueued=<w> ingest_done=<0|1> shards=<s> protocol=<text|binary>`.
 //!
 //! Every query answers from the most recent published snapshot: a
 //! bounded-stale, Algorithm-5-merged view with the same certified error
@@ -95,12 +69,11 @@ use std::time::Duration;
 
 use streamfreq_core::cluster::wire as cluster_wire;
 use streamfreq_core::persist::{self, DurabilityOptions, FsyncPolicy};
-use streamfreq_core::{
-    ConcurrentSketch, ConcurrentWriter, ErrorType, PurgePolicy, Row, SnapshotReader,
-};
+use streamfreq_core::{ConcurrentSketch, ConcurrentWriter, PurgePolicy, SnapshotReader};
 use streamfreq_workloads::load_binary;
 
-use crate::cluster::connect_with_retry;
+use crate::cluster::{connect_with_retry, read_frame_capped};
+use crate::protocol::{self, push_err_frame, push_frame, Query, Reply, MAX_TEXT_LINE};
 use crate::CliError;
 
 /// Upper bound on one idle `poll(2)` wait, in milliseconds. Every
@@ -108,14 +81,6 @@ use crate::CliError;
 /// buffer) wakes the poll itself; the bound only guards against a wake
 /// the interest set does not cover.
 const IDLE_WAIT_MS: c_int = 100;
-
-/// Longest text-protocol request line, in bytes. Real requests are a
-/// few dozen bytes; a longer line gets `ERR` and a close, so a client
-/// that never sends a newline cannot grow the read buffer without bound.
-const MAX_TEXT_LINE: usize = 4 << 10;
-
-/// Upper bound on `TOPK n` so a typo cannot ask for a gigabyte of rows.
-const MAX_TOPK: usize = 100_000;
 
 /// The four bytes a binary-protocol client sends first.
 pub const BINARY_MAGIC: &[u8; 4] = b"SFBP";
@@ -134,17 +99,11 @@ const WRITE_HIGH_WATER: usize = 8 << 20;
 /// starve the rest of the loop.
 const READ_QUANTUM: usize = 1 << 20;
 
-/// Binary request opcodes (also the `query-remote --binary` encoding).
-/// `0x07..=0x0A` are the cluster extension: snapshot export for the
-/// merging query tier, file shipping for replicas, and wire ingest for
-/// the routing client.
-pub(crate) mod opcode {
-    pub const EST: u8 = 0x01;
-    pub const TOPK: u8 = 0x02;
-    pub const HH: u8 = 0x03;
-    pub const STATS: u8 = 0x04;
-    pub const CKPT: u8 = 0x05;
-    pub const QUIT: u8 = 0x06;
+/// Node-only binary opcodes, the cluster extension of SFBP: snapshot
+/// export for the merging query tier, file shipping for replicas, and
+/// wire ingest for the routing client. The query verbs' opcodes are in
+/// [`crate::protocol`].
+pub(crate) mod node_opcode {
     pub const SNAP: u8 = 0x07;
     pub const REPL: u8 = 0x08;
     pub const FETCH: u8 = 0x09;
@@ -561,6 +520,11 @@ impl Conn {
     }
 
     fn process_text(&mut self, ctx: &ServeCtx) {
+        // At EOF a trailing unterminated line still counts as a request
+        // (parity with a client that forgot the final newline).
+        if self.eof && self.rbuf.last().is_some_and(|&b| b != b'\n') {
+            self.rbuf.push(b'\n');
+        }
         let mut consumed = 0usize;
         // Only bytes that arrived since the last turn are searched.
         let mut scan_from = self.scanned;
@@ -570,11 +534,11 @@ impl Conn {
                 self.reject_long_line();
                 return;
             }
-            let line = String::from_utf8_lossy(&self.rbuf[consumed..end]).into_owned();
+            let request = Query::parse_line(&String::from_utf8_lossy(&self.rbuf[consumed..end]));
             consumed = end + 1;
             scan_from = consumed;
-            let (reply, quit) = handle_request(line.trim(), ctx);
-            self.wbuf.extend_from_slice(reply.as_bytes());
+            let quit = request == Ok(Query::Quit);
+            respond(request, ctx, "text").write_text(&mut self.wbuf);
             if quit {
                 ctx.stop.store(true, Ordering::SeqCst);
                 self.close_after_flush = true;
@@ -585,20 +549,6 @@ impl Conn {
             self.reject_long_line();
             return;
         }
-        // At EOF a trailing unterminated line still counts as a request
-        // (parity with a client that forgot the final newline).
-        if self.eof && !self.close_after_flush && consumed < self.rbuf.len() {
-            let line = String::from_utf8_lossy(&self.rbuf[consumed..]).into_owned();
-            consumed = self.rbuf.len();
-            if !line.trim().is_empty() {
-                let (reply, quit) = handle_request(line.trim(), ctx);
-                self.wbuf.extend_from_slice(reply.as_bytes());
-                if quit {
-                    ctx.stop.store(true, Ordering::SeqCst);
-                    self.close_after_flush = true;
-                }
-            }
-        }
         self.rbuf.drain(..consumed);
         self.scanned = self.rbuf.len();
     }
@@ -606,9 +556,7 @@ impl Conn {
     /// Answers a text line over [`MAX_TEXT_LINE`] with `ERR` and closes
     /// the connection once the reply is flushed.
     fn reject_long_line(&mut self) {
-        self.wbuf.extend_from_slice(
-            format!("ERR request line longer than {MAX_TEXT_LINE} bytes\n").as_bytes(),
-        );
+        Reply::overlong_line().write_text(&mut self.wbuf);
         self.rbuf.clear();
         self.scanned = 0;
         self.close_after_flush = true;
@@ -701,111 +649,11 @@ fn wait_ready(
     Ok(())
 }
 
-/// Appends a response frame: `[len u32le | status | payload]`, where
-/// `build` writes the payload directly into the output buffer.
-fn push_frame(out: &mut Vec<u8>, status: u8, build: impl FnOnce(&mut Vec<u8>)) {
-    let len_at = out.len();
-    out.extend_from_slice(&[0; 4]);
-    out.push(status);
-    build(out);
-    let len = (out.len() - len_at - 4) as u32;
-    out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
-}
-
-/// Appends an ERR frame carrying a UTF-8 message.
-fn push_err_frame(out: &mut Vec<u8>, message: &str) {
-    push_frame(out, 1, |p| p.extend_from_slice(message.as_bytes()));
-}
-
-/// Appends one 32-byte result row to a binary payload.
-fn push_row(payload: &mut Vec<u8>, row: &Row<u64>) {
-    payload.extend_from_slice(&row.item.to_le_bytes());
-    payload.extend_from_slice(&row.estimate.to_le_bytes());
-    payload.extend_from_slice(&row.lower_bound.to_le_bytes());
-    payload.extend_from_slice(&row.upper_bound.to_le_bytes());
-}
-
 /// Answers one binary request frame, appending the response frame to
 /// `out`. Returns true when the server should shut down (QUIT).
 fn handle_binary_request(op: u8, payload: &[u8], ctx: &ServeCtx, out: &mut Vec<u8>) -> bool {
     match op {
-        opcode::EST => {
-            ctx.queries.fetch_add(1, Ordering::Relaxed);
-            let Ok(item) = <[u8; 8]>::try_from(payload) else {
-                push_err_frame(out, "EST payload must be 8 bytes");
-                return false;
-            };
-            let item = u64::from_le_bytes(item);
-            let snap = ctx.reader.snapshot();
-            push_frame(out, 0, |p| {
-                p.extend_from_slice(&snap.estimate(&item).to_le_bytes());
-                p.extend_from_slice(&snap.lower_bound(&item).to_le_bytes());
-                p.extend_from_slice(&snap.upper_bound(&item).to_le_bytes());
-            });
-        }
-        opcode::TOPK => {
-            ctx.queries.fetch_add(1, Ordering::Relaxed);
-            let Ok(n) = <[u8; 4]>::try_from(payload) else {
-                push_err_frame(out, "TOPK payload must be 4 bytes");
-                return false;
-            };
-            let n = u32::from_le_bytes(n) as usize;
-            if n == 0 || n > MAX_TOPK {
-                push_err_frame(out, &format!("row count {n} outside 1..={MAX_TOPK}"));
-                return false;
-            }
-            let rows = ctx.reader.snapshot().top_k(n);
-            push_frame(out, 0, |p| {
-                p.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-                for row in &rows {
-                    push_row(p, row);
-                }
-            });
-        }
-        opcode::HH => {
-            ctx.queries.fetch_add(1, Ordering::Relaxed);
-            let Ok(raw) = <[u8; 9]>::try_from(payload) else {
-                push_err_frame(out, "HH payload must be 9 bytes");
-                return false;
-            };
-            let phi = f64::from_le_bytes(raw[..8].try_into().unwrap());
-            let contract = match raw[8] {
-                0 => ErrorType::NoFalseNegatives,
-                1 => ErrorType::NoFalsePositives,
-                other => {
-                    push_err_frame(out, &format!("bad HH contract byte {other}"));
-                    return false;
-                }
-            };
-            if !(0.0..=1.0).contains(&phi) {
-                push_err_frame(out, &format!("phi {phi} outside [0, 1]"));
-                return false;
-            }
-            let rows = ctx.reader.snapshot().heavy_hitters(phi, contract);
-            push_frame(out, 0, |p| {
-                p.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-                for row in &rows {
-                    push_row(p, row);
-                }
-            });
-        }
-        opcode::STATS => {
-            ctx.queries.fetch_add(1, Ordering::Relaxed);
-            let body = stats_body(ctx, "binary");
-            push_frame(out, 0, |p| p.extend_from_slice(body.as_bytes()));
-        }
-        opcode::CKPT => {
-            ctx.queries.fetch_add(1, Ordering::Relaxed);
-            if ctx.fsync_label.is_none() {
-                push_err_frame(out, "server is not durable (start with --data-dir)");
-                return false;
-            }
-            match ctx.reader.request_checkpoint(Duration::from_secs(30)) {
-                Some(epoch) => push_frame(out, 0, |p| p.extend_from_slice(&epoch.to_le_bytes())),
-                None => push_err_frame(out, "checkpoint unavailable (draining?)"),
-            }
-        }
-        opcode::SNAP => {
+        node_opcode::SNAP => {
             ctx.queries.fetch_add(1, Ordering::Relaxed);
             if !payload.is_empty() {
                 push_err_frame(out, "SNAP takes no payload");
@@ -815,7 +663,7 @@ fn handle_binary_request(op: u8, payload: &[u8], ctx: &ServeCtx, out: &mut Vec<u
             let body = cluster_wire::encode_snapshot(snap.epoch(), snap.is_sealed(), snap.engine());
             push_frame(out, 0, |p| p.extend_from_slice(&body));
         }
-        opcode::REPL => {
+        node_opcode::REPL => {
             ctx.queries.fetch_add(1, Ordering::Relaxed);
             if !payload.is_empty() {
                 push_err_frame(out, "REPL takes no payload");
@@ -843,7 +691,7 @@ fn handle_binary_request(op: u8, payload: &[u8], ctx: &ServeCtx, out: &mut Vec<u
                 Err(e) => push_err_frame(out, &format!("manifest export failed: {e}")),
             }
         }
-        opcode::FETCH => {
+        node_opcode::FETCH => {
             ctx.queries.fetch_add(1, Ordering::Relaxed);
             let Some(dir) = &ctx.data_dir else {
                 push_err_frame(out, "server is not durable (start with --data-dir)");
@@ -861,7 +709,7 @@ fn handle_binary_request(op: u8, payload: &[u8], ctx: &ServeCtx, out: &mut Vec<u
                 Err(e) => push_err_frame(out, &format!("fetch failed: {e}")),
             }
         }
-        opcode::INGEST => {
+        node_opcode::INGEST => {
             ctx.queries.fetch_add(1, Ordering::Relaxed);
             let batch = match cluster_wire::decode_ingest_batch(payload) {
                 Ok(batch) => batch,
@@ -886,21 +734,45 @@ fn handle_binary_request(op: u8, payload: &[u8], ctx: &ServeCtx, out: &mut Vec<u
                 p.extend_from_slice(&(batch.len() as u64).to_le_bytes());
             });
         }
-        opcode::QUIT => {
-            push_frame(out, 0, |p| p.extend_from_slice(b"bye"));
-            return true;
+        _ => {
+            let request = Query::decode(op, payload);
+            let quit = request == Ok(Query::Quit);
+            respond(request, ctx, "binary").write_binary(out);
+            return quit;
         }
-        other => push_err_frame(out, &format!("unknown opcode 0x{other:02x}")),
     }
     false
 }
 
+/// Answers one request of either protocol: EST, TOPK and HH from the
+/// latest snapshot's engine, STATS and CKPT from this server. `wire`
+/// names the protocol in the STATS body.
+fn respond(request: Result<Query, String>, ctx: &ServeCtx, wire: &str) -> Reply {
+    let query = match request {
+        Ok(Query::Quit) => return Reply::Bye,
+        Ok(query) => query,
+        Err(reason) => return Reply::Err(reason),
+    };
+    ctx.queries.fetch_add(1, Ordering::Relaxed);
+    match query {
+        Query::Stats => Reply::Stats(stats_body(ctx, wire)),
+        Query::Ckpt if ctx.fsync_label.is_none() => {
+            Reply::Err("server is not durable (start with --data-dir)".into())
+        }
+        Query::Ckpt => match ctx.reader.request_checkpoint(Duration::from_secs(30)) {
+            Some(epoch) => Reply::Checkpoint(epoch),
+            None => Reply::Err("checkpoint unavailable (draining?)".into()),
+        },
+        query => protocol::answer(ctx.reader.snapshot().engine(), &query),
+    }
+}
+
 /// The `STATS` key=value body shared by both protocols.
-fn stats_body(ctx: &ServeCtx, protocol: &str) -> String {
+fn stats_body(ctx: &ServeCtx, wire: &str) -> String {
     let snap = ctx.reader.snapshot();
     let mut body = format!(
         "epoch={} n={} counters={} max_error={} enqueued={} \
-         ingest_done={} shards={} protocol={protocol}",
+         ingest_done={} shards={} protocol={wire}",
         snap.epoch(),
         snap.stream_weight(),
         snap.num_counters(),
@@ -927,209 +799,6 @@ fn stats_body(ctx: &ServeCtx, protocol: &str) -> String {
     body
 }
 
-/// Formats one result row of the text protocol.
-fn protocol_row(row: &Row<u64>) -> String {
-    format!(
-        "{} {} {} {}\n",
-        row.item, row.estimate, row.lower_bound, row.upper_bound
-    )
-}
-
-/// Answers one text request line. Returns the reply text and whether
-/// the server should shut down.
-fn handle_request(request: &str, ctx: &ServeCtx) -> (String, bool) {
-    let tokens: Vec<&str> = request.split_whitespace().collect();
-    let Some(command) = tokens.first() else {
-        return ("ERR empty request\n".into(), false);
-    };
-    match command.to_ascii_uppercase().as_str() {
-        "EST" => {
-            ctx.queries.fetch_add(1, Ordering::Relaxed);
-            let [_, item] = tokens[..] else {
-                return ("ERR usage: EST <item>\n".into(), false);
-            };
-            let Ok(item) = item.parse::<u64>() else {
-                return (format!("ERR bad item `{item}`\n"), false);
-            };
-            let snap = ctx.reader.snapshot();
-            (
-                format!(
-                    "OK {} {} {}\n",
-                    snap.estimate(&item),
-                    snap.lower_bound(&item),
-                    snap.upper_bound(&item)
-                ),
-                false,
-            )
-        }
-        "TOPK" => {
-            ctx.queries.fetch_add(1, Ordering::Relaxed);
-            let [_, n] = tokens[..] else {
-                return ("ERR usage: TOPK <n>\n".into(), false);
-            };
-            let Ok(n) = n.parse::<usize>() else {
-                return (format!("ERR bad row count `{n}`\n"), false);
-            };
-            if n == 0 || n > MAX_TOPK {
-                return (format!("ERR row count {n} outside 1..={MAX_TOPK}\n"), false);
-            }
-            let rows = ctx.reader.snapshot().top_k(n);
-            let mut reply = format!("OK {}\n", rows.len());
-            for row in &rows {
-                reply.push_str(&protocol_row(row));
-            }
-            (reply, false)
-        }
-        "HH" => {
-            ctx.queries.fetch_add(1, Ordering::Relaxed);
-            let (phi, contract) = match tokens[..] {
-                [_, phi] => (phi, ErrorType::NoFalseNegatives),
-                [_, phi, "nfp"] => (phi, ErrorType::NoFalsePositives),
-                [_, phi, "nfn"] => (phi, ErrorType::NoFalseNegatives),
-                _ => return ("ERR usage: HH <phi> [nfp|nfn]\n".into(), false),
-            };
-            let Ok(phi) = phi.parse::<f64>() else {
-                return (format!("ERR bad phi `{phi}`\n"), false);
-            };
-            if !(0.0..=1.0).contains(&phi) {
-                return (format!("ERR phi {phi} outside [0, 1]\n"), false);
-            }
-            let rows = ctx.reader.snapshot().heavy_hitters(phi, contract);
-            let mut reply = format!("OK {}\n", rows.len());
-            for row in &rows {
-                reply.push_str(&protocol_row(row));
-            }
-            (reply, false)
-        }
-        "STATS" => {
-            ctx.queries.fetch_add(1, Ordering::Relaxed);
-            (format!("OK {}\n", stats_body(ctx, "text")), false)
-        }
-        "CKPT" => {
-            ctx.queries.fetch_add(1, Ordering::Relaxed);
-            if ctx.fsync_label.is_none() {
-                return (
-                    "ERR server is not durable (start with --data-dir)\n".into(),
-                    false,
-                );
-            }
-            match ctx.reader.request_checkpoint(Duration::from_secs(30)) {
-                Some(epoch) => (format!("OK epoch={epoch}\n"), false),
-                None => ("ERR checkpoint unavailable (draining?)\n".into(), false),
-            }
-        }
-        "QUIT" => ("OK bye\n".into(), true),
-        other => (format!("ERR unknown command `{other}`\n"), false),
-    }
-}
-
-/// Encodes one request (the `query-remote` token form) as a binary
-/// frame appended to `out`.
-///
-/// # Errors
-/// Returns a usage error for malformed tokens.
-pub fn encode_binary_request(tokens: &[String], out: &mut Vec<u8>) -> Result<(), CliError> {
-    let usage = |msg: &str| CliError::Usage(msg.into());
-    let Some(command) = tokens.first() else {
-        return Err(usage("empty request"));
-    };
-    let mut frame: Vec<u8> = Vec::with_capacity(16);
-    match command.to_ascii_uppercase().as_str() {
-        "EST" => {
-            let [_, item] = tokens else {
-                return Err(usage("usage: EST <item>"));
-            };
-            let item: u64 = item.parse().map_err(|_| usage("bad EST item"))?;
-            frame.push(opcode::EST);
-            frame.extend_from_slice(&item.to_le_bytes());
-        }
-        "TOPK" => {
-            let [_, n] = tokens else {
-                return Err(usage("usage: TOPK <n>"));
-            };
-            let n: u32 = n.parse().map_err(|_| usage("bad TOPK row count"))?;
-            frame.push(opcode::TOPK);
-            frame.extend_from_slice(&n.to_le_bytes());
-        }
-        "HH" => {
-            let (phi, contract) = match tokens {
-                [_, phi] => (phi, 0u8),
-                [_, phi, c] if c == "nfp" => (phi, 1),
-                [_, phi, c] if c == "nfn" => (phi, 0),
-                _ => return Err(usage("usage: HH <phi> [nfp|nfn]")),
-            };
-            let phi: f64 = phi.parse().map_err(|_| usage("bad HH phi"))?;
-            frame.push(opcode::HH);
-            frame.extend_from_slice(&phi.to_le_bytes());
-            frame.push(contract);
-        }
-        "STATS" => frame.push(opcode::STATS),
-        "CKPT" => frame.push(opcode::CKPT),
-        "QUIT" => frame.push(opcode::QUIT),
-        other => return Err(usage(&format!("unknown command `{other}`"))),
-    }
-    out.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-    out.extend_from_slice(&frame);
-    Ok(())
-}
-
-/// Reads one response frame `[len u32le | status | payload]`.
-fn read_response_frame(reader: &mut impl Read) -> std::io::Result<(u8, Vec<u8>)> {
-    let mut header = [0u8; 4];
-    reader.read_exact(&mut header)?;
-    let len = u32::from_le_bytes(header) as usize;
-    if len == 0 {
-        return Err(std::io::Error::new(
-            ErrorKind::InvalidData,
-            "empty response frame",
-        ));
-    }
-    let mut frame = vec![0u8; len];
-    reader.read_exact(&mut frame)?;
-    let payload = frame.split_off(1);
-    Ok((frame[0], payload))
-}
-
-/// Renders a binary response in the text protocol's shape, so the two
-/// client modes print interchangeably.
-fn format_binary_response(command: &str, status: u8, payload: &[u8]) -> String {
-    if status != 0 {
-        return format!("ERR {}\n", String::from_utf8_lossy(payload));
-    }
-    let rows_text = |payload: &[u8]| -> Option<String> {
-        let count = u32::from_le_bytes(payload.get(..4)?.try_into().ok()?) as usize;
-        let mut text = format!("OK {count}\n");
-        let mut rest = payload.get(4..)?;
-        for _ in 0..count {
-            let row: [u8; 32] = rest.get(..32)?.try_into().ok()?;
-            rest = &rest[32..];
-            let field = |i: usize| u64::from_le_bytes(row[i * 8..(i + 1) * 8].try_into().unwrap());
-            text.push_str(&format!(
-                "{} {} {} {}\n",
-                field(0),
-                field(1),
-                field(2),
-                field(3)
-            ));
-        }
-        Some(text)
-    };
-    let rendered = match command {
-        "EST" => <[u8; 24]>::try_from(payload).ok().map(|raw| {
-            let field = |i: usize| u64::from_le_bytes(raw[i * 8..(i + 1) * 8].try_into().unwrap());
-            format!("OK {} {} {}\n", field(0), field(1), field(2))
-        }),
-        "TOPK" | "HH" => rows_text(payload),
-        "STATS" => Some(format!("OK {}\n", String::from_utf8_lossy(payload))),
-        "CKPT" => <[u8; 8]>::try_from(payload)
-            .ok()
-            .map(|raw| format!("OK epoch={}\n", u64::from_le_bytes(raw))),
-        "QUIT" => Some(format!("OK {}\n", String::from_utf8_lossy(payload))),
-        _ => None,
-    };
-    rendered.unwrap_or_else(|| "ERR malformed response payload\n".into())
-}
-
 /// The default `query-remote` connect/read/write timeout.
 pub const DEFAULT_REMOTE_TIMEOUT_MS: u64 = 10_000;
 
@@ -1145,8 +814,9 @@ pub const DEFAULT_REMOTE_TIMEOUT_MS: u64 = 10_000;
 /// hanging the client for good.
 ///
 /// # Errors
-/// Returns [`CliError::Net`] if the connection or the exchange fails
-/// or times out.
+/// Returns [`CliError::Usage`] for a request the protocol refuses, and
+/// [`CliError::Net`] if the connection or the exchange fails or times
+/// out.
 pub fn run_query_remote(
     port: u16,
     request: &[String],
@@ -1154,6 +824,7 @@ pub fn run_query_remote(
     timeout_ms: u64,
     retries: u32,
 ) -> Result<String, CliError> {
+    let query = Query::parse_line(&request.join(" ")).map_err(CliError::Usage)?;
     let addr = format!("127.0.0.1:{port}");
     let net = |e: std::io::Error| CliError::Net(addr.clone(), e);
     let socket_addr: SocketAddr = addr.parse().map_err(|_| {
@@ -1169,28 +840,21 @@ pub fn run_query_remote(
     };
     if binary {
         let mut wire = BINARY_MAGIC.to_vec();
-        encode_binary_request(request, &mut wire)?;
+        query.write_binary(&mut wire);
         conn.write_all(&wire).map_err(net)?;
-        let (status, payload) = read_response_frame(&mut conn).map_err(net)?;
-        let command = request
-            .first()
-            .map(|c| c.to_ascii_uppercase())
-            .unwrap_or_default();
-        return Ok(format_binary_response(&command, status, &payload));
+        let (status, payload) = read_frame_capped(&mut conn).map_err(net)?;
+        let reply = Reply::decode(&query, status, &payload)
+            .map_err(|e| net(std::io::Error::new(ErrorKind::InvalidData, e)))?;
+        return Ok(reply.to_string());
     }
-    let line = request.join(" ");
-    conn.write_all(format!("{line}\n").as_bytes())
+    conn.write_all(format!("{query}\n").as_bytes())
         .map_err(net)?;
     let mut reader = BufReader::new(conn.try_clone().map_err(net)?);
     let mut first = String::new();
     reader.read_line(&mut first).map_err(net)?;
     let mut out = first.clone();
     // Multi-row responses announce their row count in the header.
-    let is_multi_row = matches!(
-        request.first().map(|c| c.to_ascii_uppercase()).as_deref(),
-        Some("TOPK" | "HH")
-    );
-    if is_multi_row {
+    if matches!(query, Query::TopK(_) | Query::Hh(..)) {
         if let Some(rows) = first
             .strip_prefix("OK ")
             .and_then(|rest| rest.trim().parse::<usize>().ok())

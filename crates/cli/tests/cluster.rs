@@ -10,7 +10,7 @@
 //! place. Theorem 5 is what makes this equality exact rather than
 //! approximate: per-node offsets add, stream weights add.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -541,4 +541,93 @@ fn query_remote_errors_fast_on_silent_or_dead_servers() {
     let result = serve::run_query_remote(dead_port, &["STATS".to_string()], false, 200, 2);
     assert!(result.is_err(), "dead port must fail, got {result:?}");
     assert!(started.elapsed() < Duration::from_secs(30));
+}
+
+/// Regression: `query-remote --binary` allocated whatever reply length
+/// the server's frame header claimed. A hostile header must be refused
+/// from the header alone, promptly.
+#[test]
+fn query_remote_binary_refuses_an_oversized_response_frame() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let port = listener.local_addr().unwrap().port();
+    let fake = std::thread::spawn(move || {
+        let (mut sock, _) = listener.accept().unwrap();
+        sock.write_all(&[0xff; 4]).unwrap();
+        // Hold the connection open: the client must not wait for bytes.
+        sock
+    });
+    let started = Instant::now();
+    let result = serve::run_query_remote(port, &["STATS".to_string()], true, 10_000, 0);
+    let err = result.expect_err("a 4 GiB response frame must be refused");
+    assert!(err.to_string().contains("response frame length"), "{err}");
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "refused too slowly: {:?}",
+        started.elapsed()
+    );
+    drop(fake.join().unwrap());
+}
+
+/// Regression: the `cluster-serve` front node read request lines without
+/// a bound, so one client sending no newline grew it without limit
+/// while holding its only serving slot. An overlong line now gets `ERR`
+/// and a close, and the next client is served.
+#[test]
+fn cluster_serve_rejects_an_overlong_line_and_keeps_serving() {
+    let dir = scratch("front-longline");
+    // The only member is a dead port: every refresh fails, and the
+    // front node says so, which is reply enough.
+    let dead = TcpListener::bind("127.0.0.1:0").unwrap();
+    let dead_addr = dead.local_addr().unwrap().to_string();
+    drop(dead);
+    let topology = Topology::new(
+        1,
+        VNODES,
+        vec![NodeSpec {
+            id: 1,
+            addr: dead_addr,
+        }],
+    )
+    .unwrap();
+    let topo_path = dir.join("topology.sftopo");
+    std::fs::write(&topo_path, topology.encode()).unwrap();
+    let port_file = dir.join("front-port");
+    let _front = ChildGuard(
+        bin()
+            .args(["cluster-serve", "-k", "512", "--port", "0"])
+            .args(["--timeout-ms", "200", "--retries", "0"])
+            .arg("--topology")
+            .arg(&topo_path)
+            .arg("--port-file")
+            .arg(&port_file)
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap(),
+    );
+    let addr = wait_addr(&port_file);
+
+    // 1 MiB with no newline. The front node may close before taking it
+    // all, so a failed write is expected; the ERR reply must arrive.
+    let mut hostile = TcpStream::connect(&addr).unwrap();
+    hostile
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let _ = hostile.write_all(&vec![b'a'; 1 << 20]);
+    let mut reader = BufReader::new(hostile);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.starts_with("ERR request line longer than"), "{line:?}");
+    let mut rest = Vec::new();
+    match reader.read_to_end(&mut rest) {
+        Ok(_) => assert!(rest.is_empty(), "bytes after ERR: {rest:?}"),
+        Err(e) => assert!(
+            matches!(e.kind(), ErrorKind::ConnectionReset),
+            "connection not closed: {e}"
+        ),
+    }
+
+    let stats = text_request(&addr, "STATS");
+    assert!(stats[0].starts_with("ERR refresh failed"), "{stats:?}");
+    assert_eq!(text_request(&addr, "QUIT")[0], "OK bye");
 }

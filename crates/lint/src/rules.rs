@@ -26,12 +26,14 @@
 //! names mark them as decode/recovery paths (`decode*`, `read*`,
 //! `parse*`, `recover*`, `load*`, `open*`, `verify*`, ...), in
 //! `codec.rs`, `item_codec.rs`, `persist/`, the apps crate's
-//! `window.rs` (the SFWS bucket-store decoder), and the cluster
-//! wire-facing files (anything under `cluster/`, plus the CLI's
-//! `cluster.rs` fan-out client — topology files and node responses are
-//! untrusted input). The arithmetic, index, and cast rules are further
-//! restricted to the byte-level files (`codec.rs`, `item_codec.rs`,
-//! `apps/src/window.rs`, `persist/{wal,checkpoint,mod,store}.rs`,
+//! `window.rs` (the SFWS bucket-store decoder), the CLI's
+//! `protocol.rs` (the query codec, decoding SFBP payloads off
+//! sockets), and the cluster wire-facing files (anything under
+//! `cluster/`, plus the CLI's `cluster.rs` fan-out client — topology
+//! files and node responses are untrusted input). The arithmetic,
+//! index, and cast rules are further restricted to the byte-level
+//! files (`codec.rs`, `item_codec.rs`, `apps/src/window.rs`,
+//! `cli/src/protocol.rs`, `persist/{wal,checkpoint,mod,store}.rs`,
 //! `cluster/{topology,wire}.rs`) — the orchestration files
 //! (`recover.rs`, `group.rs`, `cluster/ring.rs`) do no raw byte math,
 //! and flagging every loop counter there would drown the signal.
@@ -148,15 +150,20 @@ pub fn classify(rel_path: &str) -> FileClass {
     let in_cluster = rel.contains("/cluster/") || rel.starts_with("cluster/");
     // The windowed bucket store's SFWS decoder reads files from disk.
     let window_store = rel.ends_with("apps/src/window.rs");
+    // The CLI query codec decodes SFBP request and response payloads
+    // straight off sockets.
+    let query_codec = rel.ends_with("cli/src/protocol.rs");
     let decode_file = file_name == "codec.rs"
         || file_name == "item_codec.rs"
         || in_persist
         || in_cluster
         || file_name == "cluster.rs"
-        || window_store;
+        || window_store
+        || query_codec;
     let byte_level = file_name == "codec.rs"
         || file_name == "item_codec.rs"
         || window_store
+        || query_codec
         || (in_persist
             && matches!(
                 file_name,
@@ -826,6 +833,25 @@ mod tests {
         "#;
         let found = findings("crates/apps/src/window.rs", src);
         assert_eq!(rules_of(&found), vec!["decode-cast"], "{found:?}");
+    }
+
+    #[test]
+    fn query_codec_is_decode_scoped() {
+        let codec = classify("crates/cli/src/protocol.rs");
+        assert!(codec.decode_file && codec.byte_level);
+        assert!(!classify("crates/cli/src/serve.rs").decode_file);
+        let src = r#"
+            fn decode(payload: &[u8]) -> u8 {
+                let n = payload.len() as u32;
+                payload[0]
+            }
+        "#;
+        let found = findings("crates/cli/src/protocol.rs", src);
+        assert_eq!(
+            rules_of(&found),
+            vec!["decode-cast", "decode-index"],
+            "{found:?}"
+        );
     }
 
     #[test]
